@@ -22,12 +22,7 @@ from .blocks import (
     family_predicate,
     gdd_blocks,
     gdd_groups,
-    replace_point_inverse,
-    replace_point_map,
-    representative,
     shift_invariant_blocks,
-    shift_representative,
-    shifted_sum_families,
     sum_to_shift_blocks,
     sum_to_zero_blocks,
     zero_sum_blocks,
@@ -51,20 +46,13 @@ from .errors import (
 )
 from .field import (
     Coset,
-    CosetOrdering,
-    QuotientIso,
-    add,
-    coset_of,
     cosets_of,
-    natural_ordering,
     nonzero_elements,
-    quotient_iso,
 )
 from .params import (
     ParamRow,
     ParamTable,
     balance_parameters,
-    balance_step,
     closed_form_balance,
     closed_form_gdd_balance,
     closed_forms,
@@ -85,7 +73,6 @@ __all__ = [
     "ConsistencyError",
     "ContainmentError",
     "Coset",
-    "CosetOrdering",
     "DEFAULT_NODE_BUDGET",
     "DesignForgeError",
     "DesignReport",
@@ -97,37 +84,26 @@ __all__ = [
     "ParamRow",
     "ParamTable",
     "PartitionError",
-    "QuotientIso",
     "RangeError",
     "ShapeError",
     "StateError",
-    "add",
     "as_block",
     "balance_parameters",
-    "balance_step",
     "closed_form_balance",
     "closed_form_gdd_balance",
     "closed_forms",
-    "coset_of",
     "cosets_of",
     "family_predicate",
     "gdd_balance_parameters",
     "gdd_blocks",
     "gdd_groups",
     "hamming_weight_counts",
-    "natural_ordering",
     "nonzero_elements",
     "observed_params",
     "param_table",
-    "quotient_iso",
     "reference_gdd_balance",
-    "replace_point_inverse",
-    "replace_point_map",
     "replication_numbers",
-    "representative",
     "shift_invariant_blocks",
-    "shift_representative",
-    "shifted_sum_families",
     "sum_to_shift_blocks",
     "sum_to_zero_blocks",
     "verify_bibd",

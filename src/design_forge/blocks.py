@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterator
 
 from .errors import (
@@ -30,6 +30,7 @@ from .field import (
     MAX_AMBIENT_EXPONENT,
     MIN_EXPONENT,
     CosetOrdering,
+    QuotientIso,
     check_exponent,
     check_shift,
     cosets_of,
@@ -213,13 +214,11 @@ def _xor_subsets(
     k: int,
     target: int,
     budget: _Budget,
-    coset_shift: int | None = None,
 ) -> list[Block]:
     """All strictly increasing k-tuples over `ground` whose XOR equals `target`.
 
-    `ground` must be sorted ascending with no duplicates. When `coset_shift`
-    is set, at most one element may be taken from each pair
-    {x, x ^ coset_shift}. Output is in lexicographic order.
+    `ground` must be sorted ascending with no duplicates. Output is in
+    lexicographic order.
 
     Depth-first search with the prefix XOR as state; a prefix dies when too
     few candidates remain. The final slot is a lookup, not a scan: the
@@ -232,7 +231,6 @@ def _xor_subsets(
     n = len(ground)
     out: list[Block] = []
     chosen: list[int] = []
-    chosen_set: set[int] = set()
     spend = budget.spend
 
     def walk(lo: int, acc: int) -> None:
@@ -240,23 +238,15 @@ def _xor_subsets(
         if slots == 1:
             spend()
             need = acc ^ target
-            if (
-                need in gset
-                and (not chosen or need > chosen[-1])
-                and (coset_shift is None or (need ^ coset_shift) not in chosen_set)
-            ):
+            if need in gset and (not chosen or need > chosen[-1]):
                 out.append((*chosen, need))
             return
         for idx in range(lo, n - slots + 1):
             x = ground[idx]
-            if coset_shift is not None and (x ^ coset_shift) in chosen_set:
-                continue
             spend()
             chosen.append(x)
-            chosen_set.add(x)
             walk(idx + 1, acc ^ x)
             chosen.pop()
-            chosen_set.remove(x)
 
     walk(0, 0)
     return out
@@ -364,13 +354,29 @@ def gdd_blocks(
     k-subsets of the field minus {0, alpha} that XOR to alpha and touch
     each coset {x, x + alpha} at most once (equivalently, the block and
     its shift by alpha are disjoint).
+
+    Built as a lift of the zero-sum family one exponent down. The quotient
+    map by {0, alpha} sends such a block onto a zero-sum k-block; the
+    section of that map sends each zero-sum block back to k points that
+    XOR to 0, one per coset. Shifting an odd number of them by alpha gives
+    the 2^(k-1) blocks over it. The budget is charged one node per node of
+    the zero-sum search plus one per lifted block.
     """
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
-    _check_k(k, 3, (1 << (ambient_exp - 1)) - 4, f"lifted family in GF(2^{ambient_exp})")
+    m = ambient_exp - 1
+    _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
-    ground = tuple(x for x in range(1, 1 << ambient_exp) if x != alpha)
-    blocks = _xor_subsets(ground, k, alpha, bud, coset_shift=alpha)
+    section = QuotientIso(alpha, ambient_exp).section
+    blocks: list[Block] = []
+    for base in _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud):
+        bud.spend(1 << (k - 1))
+        # Choose freely in every coset but the last; the last point is then
+        # forced by the target sum, which fixes the parity of the shifts.
+        cosets = [(section[y], section[y] ^ alpha) for y in base[:-1]]
+        for head in product(*cosets):
+            blocks.append(tuple(sorted((*head, _xor(head) ^ alpha))))
+    blocks.sort()
     return BlockFamily("U", ambient_exp, k, tuple(blocks), alpha=alpha)
 
 

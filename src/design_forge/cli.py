@@ -14,7 +14,8 @@ Conventions:
     run leaves no partial file.
 
 Exit codes: 0 success, 1 verification or cross-check mismatch, 2 usage or
-range errors, 3 enumeration budget exhausted.
+range errors, 3 enumeration budget exhausted, 4 internal error (any other
+exception; a bug or an environment limit, never a verdict on the design).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 BUDGET_ENV_VAR = "DESIGN_FORGE_BUDGET"
 
@@ -169,8 +171,6 @@ def _jsonl_text(family: blocks.BlockFamily) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    if args.format != "jsonl":
-        raise ArgumentError("block export supports --format jsonl only")
     if args.command == "export" and args.out is None:
         raise ArgumentError("export needs --out; use enumerate to stream to stdout")
     budget = _resolve_budget(args)
@@ -190,8 +190,11 @@ def cmd_enumerate(args) -> int:
 # verify
 
 
-def _read_jsonl_blocks(path: str, expect_m: int, expect_k: int) -> list[tuple[int, ...]]:
-    """Re-ingest exported blocks; the engine accepts any well-formed design."""
+def _read_jsonl_blocks(
+    path: str, expect_m: int, expect_k: int, expect_family: str, expect_alpha: int | None
+) -> list[tuple[int, ...]]:
+    """Re-ingest exported blocks; the engine accepts any well-formed design
+    whose records name the expected field, block size, family and shift."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -210,6 +213,14 @@ def _read_jsonl_blocks(path: str, expect_m: int, expect_k: int) -> list[tuple[in
             if obj.get("k") != expect_k:
                 raise ArgumentError(
                     f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
+                )
+            if obj.get("family") != expect_family:
+                raise ArgumentError(
+                    f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
+                )
+            if obj.get("alpha") != expect_alpha:
+                raise ArgumentError(
+                    f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
                 )
             out.append(block)
     return out
@@ -246,7 +257,7 @@ def cmd_verify_bibd(args) -> int:
     k = _single(args.k, "--k")
     points = range(1, 1 << m)
     if args.blocks_path:
-        block_list = _read_jsonl_blocks(args.blocks_path, m, k)
+        block_list = _read_jsonl_blocks(args.blocks_path, m, k, "W", None)
     else:
         block_list = blocks.zero_sum_blocks(m, k, _resolve_budget(args))
     report = designs.verify_bibd(points, block_list)
@@ -263,11 +274,11 @@ def cmd_verify_gdd(args) -> int:
     alpha = args.alpha
     points = [x for x in range(1, 1 << ambient) if x != alpha]
     if args.groups_path:
-        group_list = _read_jsonl_blocks(args.groups_path, ambient, 2)
+        group_list = _read_jsonl_blocks(args.groups_path, ambient, 2, "U", alpha)
     else:
         group_list = blocks.gdd_groups(ambient, alpha)
     if args.blocks_path:
-        block_list = _read_jsonl_blocks(args.blocks_path, ambient, k)
+        block_list = _read_jsonl_blocks(args.blocks_path, ambient, k, "U", alpha)
     else:
         block_list = blocks.gdd_blocks(ambient, k, alpha, _resolve_budget(args))
     report = designs.verify_gdd(points, group_list, block_list)
@@ -280,8 +291,6 @@ def cmd_verify_gdd(args) -> int:
 
 
 def cmd_params(args) -> int:
-    if args.format != "csv":
-        raise ArgumentError("parameter tables support --format csv only")
     m = args.m_single
     table = params.param_table(m)
     closed = params.closed_forms(m)
@@ -411,7 +420,7 @@ def cmd_crosscheck(args) -> int:
 # parser / dispatch
 
 
-def _add_common(sub, *, k_flag=True, alpha=False, budget=True, out=True, fmt=None):
+def _add_common(sub, *, k_flag=True, alpha=False, budget=True, out=True):
     sub.add_argument("--m", required=True, help="base field exponent (or a..b for crosscheck)")
     if k_flag:
         sub.add_argument("--k", required=True, help="block size (or a..b range)")
@@ -421,8 +430,6 @@ def _add_common(sub, *, k_flag=True, alpha=False, budget=True, out=True, fmt=Non
         sub.add_argument("--budget", type=int, help=f"enumeration node budget (default {blocks.DEFAULT_NODE_BUDGET}; env {BUDGET_ENV_VAR} overrides)")
     if out:
         sub.add_argument("--out", help="write output to this file instead of stdout")
-    if fmt:
-        sub.add_argument("--format", choices=("jsonl", "csv"), default=fmt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("export", "enumerate a block family into a file (--out required)"),
     ):
         p = sub.add_parser(name, help=brief)
-        _add_common(p, alpha=True, fmt="jsonl")
+        _add_common(p, alpha=True)
         p.add_argument(
             "--family",
             choices=blocks.FAMILY_KINDS,
@@ -463,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_gdd)
 
     p = sub.add_parser("params", help="exact parameter table (recurrences only) as CSV")
-    _add_common(p, k_flag=False, budget=False, fmt="csv")
+    _add_common(p, k_flag=False, budget=False)
     p.set_defaults(handler=cmd_params)
 
     p = sub.add_parser(
@@ -502,6 +509,10 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -117,7 +117,9 @@ class QuotientIso:
     it is additive and onto because coordinates are.
 
     Calling the instance with any element returns the image of that
-    element's coset, an element of GF(2^(exp-1)).
+    element's coset, an element of GF(2^(exp-1)). `section[y]` is the
+    preimage of y whose alpha coordinate is 0; the section is additive too,
+    so it carries a zero-sum set of GF(2^(exp-1)) to a zero-sum set.
     """
 
     def __init__(self, alpha: int, exp: int):
@@ -150,19 +152,13 @@ class QuotientIso:
                 pos += 1
             coords[x] = c
         self._coords = coords
-        self.basis = tuple(basis)
-
-    @property
-    def image_exponent(self) -> int:
-        return self.exp - 1
+        # Elements in coordinate order; the even positions have alpha coordinate 0.
+        self.section = tuple(sorted(range(size), key=coords.__getitem__)[0::2])
 
     def __call__(self, x: int) -> int:
         if not 0 <= x < (1 << self.exp):
             raise ArgumentError(f"{x} is not an element of GF(2^{self.exp})")
         return self._coords[x] >> 1
-
-    def of_coset(self, coset: Coset) -> int:
-        return self(coset.low)
 
 
 def quotient_iso(alpha: int, exp: int) -> QuotientIso:

@@ -172,7 +172,13 @@ class TestGddBlocks:
 
     @pytest.mark.parametrize("alpha", [1, 9, 30])
     def test_ambient_32_spot_matches_brute_force(self, alpha):
-        assert list(gdd_blocks(5, 4, alpha)) == brute_gdd_blocks(5, 4, alpha)
+        for k in (4, 5):
+            assert list(gdd_blocks(5, k, alpha)) == brute_gdd_blocks(5, k, alpha)
+
+    def test_budget_exceeded_names_the_bound(self):
+        with pytest.raises(BudgetExceededError) as exc:
+            gdd_blocks(5, 4, 1, budget=10)
+        assert exc.value.budget == 10
 
     def test_blocks_avoid_their_own_shift(self):
         for b in gdd_blocks(5, 4, 7):

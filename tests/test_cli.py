@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from design_forge import cli, params
+from design_forge.errors import ConsistencyError
 from helpers import run_cli
 
 
@@ -74,6 +75,15 @@ class TestEnumerate:
     def test_export_requires_out(self):
         proc = run_cli(["export", "--m", "3", "--k", "3"])
         assert proc.returncode == 2
+
+    def test_lifted_budget_exits_3_and_leaves_no_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        proc = run_cli(
+            ["verify-gdd", "--m", "4", "--k", "4", "--alpha", "1",
+             "--budget", "10", "--out", str(target)]
+        )
+        assert proc.returncode == 3
+        assert not target.exists()
 
     def test_csv_format_rejected_for_blocks(self):
         proc = run_cli(["enumerate", "--m", "3", "--k", "3", "--format", "csv"])
@@ -210,6 +220,19 @@ class TestVerifyRoundTrip:
         report = json.loads(proc.stdout)
         assert report["counterexample"] == [1, 4]
 
+    def test_export_for_another_alpha_rejected(self, tmp_path):
+        exported = tmp_path / "u.jsonl"
+        run_cli(["export", "--m", "4", "--k", "4", "--family", "U", "--alpha", "3", "--out", str(exported)])
+        proc = run_cli(["verify-gdd", "--m", "4", "--k", "4", "--alpha", "5", "--blocks", str(exported)])
+        assert proc.returncode == 2
+        assert b"alpha 3, expected alpha 5" in proc.stderr
+
+    def test_export_of_another_family_rejected(self, tmp_path):
+        exported = tmp_path / "u.jsonl"
+        run_cli(["export", "--m", "3", "--k", "3", "--family", "U", "--alpha", "1", "--out", str(exported)])
+        proc = run_cli(["verify-bibd", "--m", "4", "--k", "3", "--blocks", str(exported)])
+        assert proc.returncode == 2
+
     def test_mismatched_export_rejected(self, tmp_path):
         exported = tmp_path / "w.jsonl"
         run_cli(["export", "--m", "3", "--k", "3", "--out", str(exported)])
@@ -230,6 +253,25 @@ class TestUsage:
         for family in ("I", "J", "L", "U"):
             proc = run_cli(["enumerate", "--m", "3", "--k", "3", "--family", family])
             assert proc.returncode == 2
+
+    def test_int_to_str_limit_is_an_internal_error(self, tmp_path):
+        target = tmp_path / "params.csv"
+        proc = run_cli(
+            ["params", "--m", "12", "--out", str(target)],
+            env_extra={"PYTHONINTMAXSTRDIGITS": "640"},
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith(b"error: internal: ValueError: ")
+        assert proc.stderr.count(b"\n") == 1
+        assert not target.exists()
+
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        def broken(m):
+            raise ConsistencyError("forced")
+
+        monkeypatch.setattr(params, "param_table", broken)
+        assert cli.main(["params", "--m", "3"]) == 4
+        assert capsys.readouterr().err == "error: internal: ConsistencyError: forced\n"
 
     def test_in_process_main_matches_subprocess_contract(self, capsys):
         assert cli.main(["params", "--m", "3"]) == 0
