@@ -15,7 +15,8 @@ Conventions:
 
 Exit codes: 0 success, 1 verification or cross-check mismatch, 2 usage or
 range errors, 3 enumeration budget exhausted, 4 internal error (any other
-exception; a bug or an environment limit, never a verdict on the design).
+exception; a bug or an environment limit, never a verdict on the design),
+130 interrupted (KeyboardInterrupt).
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ from .errors import (
     ShapeError,
     StateError,
 )
+from .field import check_exponent
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
 
 BUDGET_ENV_VAR = "DESIGN_FORGE_BUDGET"
 
@@ -290,8 +293,7 @@ def cmd_verify_gdd(args) -> int:
 # params
 
 
-def cmd_params(args) -> int:
-    m = args.m_single
+def _param_rows(m: int) -> list[list[str]]:
     table = params.param_table(m)
     closed = params.closed_forms(m)
     top = (1 << m) - 3
@@ -323,6 +325,22 @@ def cmd_params(args) -> int:
                 reference_cell,
             ]
         )
+    return rows
+
+
+def cmd_params(args) -> int:
+    # b_k has ~0.3 * 2^m digits, past Python's int-to-str limit from m = 14.
+    # The limit guards parsing outside text, which params does not do after
+    # argparse, so it is lifted only while the table is formatted.
+    if not hasattr(sys, "set_int_max_str_digits"):  # this Python has no limit
+        rows = _param_rows(args.m_single)
+    else:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            rows = _param_rows(args.m_single)
+        finally:
+            sys.set_int_max_str_digits(limit)
     _write_output(_csv_text(rows), args.out)
     return EXIT_OK
 
@@ -334,6 +352,8 @@ def cmd_params(args) -> int:
 def cmd_crosscheck(args) -> int:
     budget = _resolve_budget(args)
     m_lo, m_hi = _parse_span(args.m)
+    check_exponent(m_lo)
+    check_exponent(m_hi)
     k_lo, k_hi = _parse_span(args.k)
     out_rows = [
         [
@@ -503,6 +523,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.handler(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

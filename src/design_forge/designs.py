@@ -1,12 +1,14 @@
-"""Design verification by exhaustive pair sweep.
+"""Design verification by one pair sweep over incidence bitsets.
 
 Verification is literal: count, for every unordered pair of points, how
-many blocks contain it, then inspect the histogram. Sweeping costs
-O(b * k^2) pair increments against a triangular table, which beats
-per-pair membership scans at every size this package handles. Reports
-keep the full histograms so near-misses stay diagnosable, and the first
-counterexample is deterministic (smallest failing pair in lexicographic
-order).
+many blocks contain it, then inspect the histogram. Each point gets a
+Python-int bitset of the blocks that contain it, so a pair's coverage is
+one AND and one popcount: the sweep does O(v^2) big-int operations of b
+bits each, whatever the block size. Groups go through the same
+incidence helper; a pair is same-group iff its two group bitsets meet, so
+the grouped check is the plain sweep plus that mask. Reports keep the full
+histograms so near-misses stay diagnosable, and the first counterexample
+is deterministic (smallest failing pair in lexicographic order).
 """
 
 from __future__ import annotations
@@ -52,43 +54,83 @@ class GddReport(DesignReport):
     cross_group_lambda: int | None
 
 
-def _block_list(blocks) -> list:
-    return list(getattr(blocks, "blocks", blocks))
+def _items(collection):
+    """The blocks of a BlockFamily, or any collection as a sequence."""
+    items = getattr(collection, "blocks", collection)
+    return items if isinstance(items, (list, tuple)) else list(items)
 
 
-def _pair_sweep(pts: list[int], index: dict[int, int], blocks: list):
-    """Uniform-size check, containment check, then the triangular count table.
+def _incidence(items, index: dict, noun: str, repeat_error):
+    """Check uniform size, no repeated point and containment, item by item.
 
-    Returns (block size, flat pair-count table, per-point occurrence list).
+    Returns (item size, rows) where bit j of rows[i] is set iff item j
+    contains the point with index i.
     """
-    if not blocks:
-        raise ShapeError("cannot verify an empty block collection")
-    k = len(blocks[0])
-    if k < 2:
-        raise ShapeError("blocks must have at least two points")
-    v = len(pts)
-    counts = [0] * (v * v)
-    occur = [0] * v
-    for block in blocks:
-        if len(block) != k:
+    size = len(items[0])
+    rows = [bytearray((len(items) + 7) >> 3) for _ in index]
+    for j, item in enumerate(items):
+        if len(item) != size:
             raise ShapeError(
-                f"expected uniform block size {k}, found {len(block)}"
+                f"expected uniform {noun} size {size}, found {len(item)}"
             )
-        if len(set(block)) != len(block):
-            raise ShapeError(f"block {tuple(block)} repeats a point")
+        if len(set(item)) != size:
+            raise repeat_error(f"{noun} {tuple(item)} repeats a point")
+        byte, bit = j >> 3, 1 << (j & 7)
         try:
-            idx = sorted(index[x] for x in block)
+            for x in item:
+                rows[index[x]][byte] |= bit
         except KeyError as exc:
             raise ContainmentError(
-                f"block {tuple(block)} uses point {exc.args[0]} "
+                f"{noun} {tuple(item)} uses point {exc.args[0]} "
                 "outside the point set"
             ) from None
-        for pos, a in enumerate(idx):
-            occur[a] += 1
-            base = a * v
-            for c in idx[pos + 1:]:
-                counts[base + c] += 1
-    return k, counts, occur
+    for i, row in enumerate(rows):
+        rows[i] = int.from_bytes(row, "little")
+    return size, rows
+
+
+def _block_incidence(blocks, index: dict):
+    """Returns (b, k, per-point block bitsets) after the block checks."""
+    items = _items(blocks)
+    if not items:
+        raise ShapeError("cannot verify an empty block collection")
+    if len(items[0]) < 2:
+        raise ShapeError("blocks must have at least two points")
+    k, inc = _incidence(items, index, "block", ShapeError)
+    return len(items), k, inc
+
+
+def _popcount_histogram(rows) -> dict[int, int]:
+    return dict(sorted(Counter(row.bit_count() for row in rows).items()))
+
+
+def _sweep(pts: list, inc: list[int], ginc: list[int]):
+    """One pass over the pairs a < c, split by the same-group mask.
+
+    Returns (cross-pair coverage histogram, worst same-group coverage,
+    first covered same-group pair, first cross pair whose coverage differs
+    from the first cross pair's).
+    """
+    hist: Counter = Counter()
+    reference = None
+    within = 0
+    within_example = cross_example = None
+    v = len(pts)
+    for a in range(v):
+        row, group_row = inc[a], ginc[a]
+        for c in range(a + 1, v):
+            cov = (row & inc[c]).bit_count()
+            if group_row & ginc[c]:
+                within = max(within, cov)
+                if cov and within_example is None:
+                    within_example = (pts[a], pts[c])
+            else:
+                hist[cov] += 1
+                if reference is None:
+                    reference = cov
+                elif cov != reference and cross_example is None:
+                    cross_example = (pts[a], pts[c])
+    return dict(sorted(hist.items())), within, within_example, cross_example
 
 
 def verify_bibd(points, blocks) -> DesignReport:
@@ -102,27 +144,15 @@ def verify_bibd(points, blocks) -> DesignReport:
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    blist = _block_list(blocks)
-    k, counts, occur = _pair_sweep(pts, index, blist)
-    v = len(pts)
-
-    lambda_hist: Counter = Counter()
-    reference = counts[1] if v > 1 else 0  # coverage of the first pair
-    counterexample = None
-    for a in range(v):
-        base = a * v
-        for c in range(a + 1, v):
-            cov = counts[base + c]
-            lambda_hist[cov] += 1
-            if counterexample is None and cov != reference:
-                counterexample = (pts[a], pts[c])
-    passed = len(lambda_hist) == 1
+    b, k, inc = _block_incidence(blocks, index)
+    hist, _, _, counterexample = _sweep(pts, inc, [0] * len(pts))
+    passed = len(hist) == 1
     return DesignReport(
-        v=v,
+        v=len(pts),
         k=k,
-        b=len(blist),
-        r_histogram=dict(sorted(Counter(occur).items())),
-        lambda_histogram=dict(sorted(lambda_hist.items())),
+        b=b,
+        r_histogram=_popcount_histogram(inc),
+        lambda_histogram=hist,
         passed=passed,
         counterexample=None if passed else counterexample,
     )
@@ -139,75 +169,29 @@ def verify_gdd(points, groups, blocks) -> GddReport:
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    v = len(pts)
-
-    glist = _block_list(groups)
-    if not glist:
+    group_items = _items(groups)
+    if not group_items:
         raise ShapeError("cannot verify with an empty group collection")
-    gsize = len(glist[0])
-    membership = [0] * v
-    same_pairs: set[int] = set()
-    for g in glist:
-        if len(g) != gsize:
-            raise ShapeError(
-                f"expected uniform group size {gsize}, found {len(g)}"
-            )
-        if len(set(g)) != len(g):
-            raise PartitionError(f"group {tuple(g)} repeats a point")
-        try:
-            gidx = sorted(index[x] for x in g)
-        except KeyError as exc:
-            raise ContainmentError(
-                f"group {tuple(g)} uses point {exc.args[0]} outside the point set"
-            ) from None
-        for pos, a in enumerate(gidx):
-            membership[a] += 1
-            for c in gidx[pos + 1:]:
-                same_pairs.add(a * v + c)
-    partition_ok = len(glist) > 1 and all(times == 1 for times in membership)
-
-    blist = _block_list(blocks)
-    k, counts, occur = _pair_sweep(pts, index, blist)
-
-    within = 0
-    within_example = None
-    cross_hist: Counter = Counter()
-    cross_reference = None
-    cross_example = None
-    for a in range(v):
-        base = a * v
-        for c in range(a + 1, v):
-            flat = base + c
-            cov = counts[flat]
-            if flat in same_pairs:
-                if cov > within:
-                    within = cov
-                if cov > 0 and within_example is None:
-                    within_example = (pts[a], pts[c])
-            else:
-                cross_hist[cov] += 1
-                if cross_reference is None:
-                    cross_reference = cov
-                elif cov != cross_reference and cross_example is None:
-                    cross_example = (pts[a], pts[c])
-
-    cross_ok = len(cross_hist) == 1
+    _, ginc = _incidence(group_items, index, "group", PartitionError)
+    partition_ok = len(group_items) > 1 and all(
+        row.bit_count() == 1 for row in ginc
+    )
+    b, k, inc = _block_incidence(blocks, index)
+    hist, within, within_example, cross_example = _sweep(pts, inc, ginc)
+    cross_ok = len(hist) == 1
     passed = partition_ok and within == 0 and cross_ok
-    counterexample = None
-    if not passed:
-        counterexample = within_example if within_example else cross_example
     return GddReport(
-        v=v,
+        v=len(pts),
         k=k,
-        b=len(blist),
-        r_histogram=dict(sorted(Counter(occur).items())),
-        lambda_histogram=dict(sorted(cross_hist.items())),
+        b=b,
+        r_histogram=_popcount_histogram(inc),
+        lambda_histogram=hist,
         passed=passed,
-        counterexample=counterexample,
-        group_count=len(glist),
+        counterexample=None if passed else within_example or cross_example,
+        group_count=len(group_items),
         partition_ok=partition_ok,
         within_group_coverage=within,
-        cross_group_lambda=next(iter(cross_hist)) if cross_ok else None,
+        cross_group_lambda=next(iter(hist)) if cross_ok else None,
     )
 
 

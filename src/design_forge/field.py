@@ -31,11 +31,6 @@ def check_shift(alpha: int, m: int) -> None:
         )
 
 
-def add(x: int, y: int) -> int:
-    """Field addition: bitwise XOR (characteristic 2, so x + x = 0)."""
-    return x ^ y
-
-
 def nonzero_elements(m: int) -> range:
     """The 2^m - 1 nonzero elements of GF(2^m), ascending."""
     return range(1, 1 << m)
@@ -159,8 +154,3 @@ class QuotientIso:
         if not 0 <= x < (1 << self.exp):
             raise ArgumentError(f"{x} is not an element of GF(2^{self.exp})")
         return self._coords[x] >> 1
-
-
-def quotient_iso(alpha: int, exp: int) -> QuotientIso:
-    """The quotient map GF(2^exp) / {0, alpha} -> GF(2^(exp-1)). See QuotientIso."""
-    return QuotientIso(alpha, exp)

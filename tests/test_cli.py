@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+
+import pytest
 
 from design_forge import cli, params
 from design_forge.errors import ConsistencyError
@@ -254,16 +257,44 @@ class TestUsage:
             proc = run_cli(["enumerate", "--m", "3", "--k", "3", "--family", family])
             assert proc.returncode == 2
 
-    def test_int_to_str_limit_is_an_internal_error(self, tmp_path):
-        target = tmp_path / "params.csv"
+    def test_params_prints_past_the_int_to_str_limit(self, tmp_path):
+        limited, unlimited = tmp_path / "limited.csv", tmp_path / "unlimited.csv"
         proc = run_cli(
-            ["params", "--m", "12", "--out", str(target)],
+            ["params", "--m", "12", "--out", str(limited)],
             env_extra={"PYTHONINTMAXSTRDIGITS": "640"},
         )
-        assert proc.returncode == 4
-        assert proc.stderr.startswith(b"error: internal: ValueError: ")
-        assert proc.stderr.count(b"\n") == 1
-        assert not target.exists()
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert run_cli(["params", "--m", "12", "--out", str(unlimited)]).returncode == 0
+        assert limited.read_bytes() == unlimited.read_bytes()
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this Python has no int-to-str limit",
+    )
+    def test_params_restores_the_int_to_str_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        assert cli.main(["params", "--m", "3"]) == 0
+        capsys.readouterr()
+        assert sys.get_int_max_str_digits() == before
+
+    def test_crosscheck_checks_m_range_before_any_work(self):
+        for span in ("3..17", "16..17", "2..4"):
+            proc = run_cli(["crosscheck", "--m", span, "--k", "3", "--budget", "1000"])
+            assert proc.returncode == 2
+            assert proc.stdout == b""
+            assert proc.stderr.startswith(b"error: field exponent")
+            assert proc.stderr.count(b"\n") == 1
+
+    def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_params", interrupted)
+        assert cli.main(["params", "--m", "3"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: interrupted\n"
 
     def test_internal_error_exits_4(self, monkeypatch, capsys):
         def broken(m):

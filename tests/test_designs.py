@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from design_forge.blocks import gdd_blocks, gdd_groups, zero_sum_blocks
@@ -22,6 +25,22 @@ from helpers import pair_coverage
 
 def lifted_points(ambient, alpha):
     return [x for x in range(1, 2**ambient) if x != alpha]
+
+
+def brute_gdd_verdict(points, groups, blocks):
+    """(cross-pair histogram, worst same-group coverage, counterexample)
+    straight from the brute-force pair coverage."""
+    cov = pair_coverage(points, blocks)
+    same = {pr for g in groups for pr in combinations(sorted(g), 2)}
+    cross = [pr for pr in cov if pr not in same]
+    within = max((cov[pr] for pr in same), default=0)
+    if within:
+        example = min(pr for pr in same if cov[pr])
+    else:
+        example = next(
+            (pr for pr in cross if cov[pr] != cov[cross[0]]), None
+        )
+    return dict(Counter(cov[pr] for pr in cross)), within, example
 
 
 class TestVerifyBibd:
@@ -46,11 +65,12 @@ class TestVerifyBibd:
         assert report.lambda_histogram == {0: 18, 1: 3}
 
     def test_histograms_against_brute_coverage(self):
-        fam = zero_sum_blocks(4, 4)
-        report = verify_bibd(range(1, 16), fam)
-        cov = pair_coverage(range(1, 16), fam)
-        assert set(cov.values()) == set(report.lambda_histogram)
-        assert sum(report.lambda_histogram.values()) == len(cov)
+        for fam in (zero_sum_blocks(4, 4), zero_sum_blocks(4, 4).blocks[1:]):
+            report = verify_bibd(range(1, 16), fam)
+            cov = pair_coverage(range(1, 16), fam)
+            occurrences = Counter(x for b in fam for x in b)
+            assert report.lambda_histogram == dict(Counter(cov.values()))
+            assert report.r_histogram == dict(Counter(occurrences.values()))
 
     def test_double_counting_identity(self):
         for m, k in [(3, 3), (4, 4), (4, 6)]:
@@ -140,6 +160,49 @@ class TestVerifyGdd:
     def test_group_outside_points_raises(self):
         with pytest.raises(ContainmentError):
             verify_gdd([2, 3], [(2, 9)], [(2, 3)])
+
+    @pytest.mark.parametrize(
+        "ambient,k,alpha",
+        [(4, k, alpha) for k in (3, 4) for alpha in range(1, 16)] + [(5, 4, 1)],
+    )
+    def test_against_brute_coverage(self, ambient, k, alpha):
+        points = lifted_points(ambient, alpha)
+        groups = gdd_groups(ambient, alpha)
+        fam = gdd_blocks(ambient, k, alpha)
+        for blocks, passed in ((fam, True), (fam.blocks[1:], False)):
+            report = verify_gdd(points, groups, blocks)
+            hist, within, example = brute_gdd_verdict(points, groups, blocks)
+            assert report.passed is passed
+            assert report.lambda_histogram == hist
+            assert report.within_group_coverage == within
+            assert report.counterexample == example
+
+    def test_overlapping_groups_count_both_groups(self):
+        points = [1, 2, 3, 4, 5]
+        groups = [(1, 2, 3), (3, 4, 5)]
+        report = verify_gdd(points, groups, [(1, 3), (3, 4), (3, 4)])
+        assert not report.passed
+        assert not report.partition_ok
+        assert report.within_group_coverage == 2
+        assert report.counterexample == (1, 3)
+        assert report.lambda_histogram == {0: 4}
+
+    def test_singleton_groups_accepted(self):
+        report = verify_gdd([1, 2, 3], [(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)])
+        assert report.passed
+        assert report.partition_ok
+        assert report.group_count == 3
+        assert report.cross_group_lambda == 1
+
+    def test_group_defects_win_over_empty_blocks(self):
+        with pytest.raises(ShapeError, match="empty group collection"):
+            verify_gdd([2, 3, 4, 5], [], [])
+        with pytest.raises(PartitionError, match="repeats a point"):
+            verify_gdd([2, 3, 4, 5], [(2, 2), (4, 5)], [])
+        with pytest.raises(ContainmentError, match="group"):
+            verify_gdd([2, 3, 4, 5], [(2, 9), (4, 5)], [])
+        with pytest.raises(ShapeError, match="uniform group size"):
+            verify_gdd([2, 3, 4, 5], [(2, 3), (4,)], [])
 
 
 class TestObservedParams:

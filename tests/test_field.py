@@ -9,24 +9,12 @@ import pytest
 from design_forge.errors import ArgumentError, InvalidShiftError, RangeError
 from design_forge.field import (
     Coset,
-    add,
+    QuotientIso,
     coset_of,
     cosets_of,
     natural_ordering,
-    quotient_iso,
 )
 from helpers import xor_sum
-
-
-class TestAdd:
-    def test_xor_of_bitmasks(self):
-        assert add(3, 5) == 6
-
-    def test_self_inverse(self):
-        assert add(7, 7) == 0
-
-    def test_three_term_cancellation(self):
-        assert add(add(1, 2), 3) == 0
 
 
 class TestCosets:
@@ -96,14 +84,14 @@ class TestNaturalOrdering:
 class TestQuotientIso:
     def test_subgroup_maps_to_zero(self):
         for alpha in range(1, 16):
-            psi = quotient_iso(alpha, 4)
+            psi = QuotientIso(alpha, 4)
             assert psi(0) == 0
             assert psi(alpha) == 0
 
     def test_shift_one_is_a_right_shift(self):
         # With alpha = 1 the greedy basis is the standard one, so the map
         # just drops the low bit.
-        psi = quotient_iso(1, 4)
+        psi = QuotientIso(1, 4)
         assert all(psi(x) == x >> 1 for x in range(16))
         assert psi(coset_of(2, 1).low) ^ psi(coset_of(4, 1).low) == psi(coset_of(6, 1).low)
 
@@ -111,7 +99,7 @@ class TestQuotientIso:
     def test_additive_and_constant_on_cosets_exhaustive(self, exp):
         size = 2**exp
         for alpha in range(1, size):
-            psi = quotient_iso(alpha, exp)
+            psi = QuotientIso(alpha, exp)
             for x in range(size):
                 assert psi(x) == psi(x ^ alpha)
                 for y in range(size):
@@ -119,7 +107,7 @@ class TestQuotientIso:
 
     @pytest.mark.parametrize("alpha", [1, 9, 37, 63])
     def test_additive_at_exponent_six(self, alpha):
-        psi = quotient_iso(alpha, 6)
+        psi = QuotientIso(alpha, 6)
         for x in range(64):
             assert psi(x) == psi(x ^ alpha)
             for y in range(64):
@@ -128,7 +116,7 @@ class TestQuotientIso:
     @pytest.mark.parametrize("exp", [4, 5, 6])
     def test_onto_the_smaller_field(self, exp):
         for alpha in (1, 2**exp - 1):
-            psi = quotient_iso(alpha, exp)
+            psi = QuotientIso(alpha, exp)
             assert {psi(x) for x in range(2**exp)} == set(range(2 ** (exp - 1)))
 
     def test_zero_sum_transfers_through_the_quotient(self):
@@ -136,7 +124,7 @@ class TestQuotientIso:
         # of its cosets XOR to zero.
         rng = random.Random(20260808)
         for exp, alpha in [(4, 1), (4, 7), (5, 9), (5, 30)]:
-            psi = quotient_iso(alpha, exp)
+            psi = QuotientIso(alpha, exp)
             points = [x for x in range(1, 2**exp) if x != alpha]
             for _ in range(300):
                 k = rng.randrange(2, 7)
@@ -147,15 +135,15 @@ class TestQuotientIso:
 
     def test_invalid_shift_rejected(self):
         with pytest.raises(InvalidShiftError):
-            quotient_iso(0, 4)
+            QuotientIso(0, 4)
         with pytest.raises(InvalidShiftError):
-            quotient_iso(16, 4)
+            QuotientIso(16, 4)
 
     def test_element_outside_field_rejected(self):
-        psi = quotient_iso(1, 4)
+        psi = QuotientIso(1, 4)
         with pytest.raises(ArgumentError):
             psi(16)
 
     def test_exponent_bounds(self):
         with pytest.raises(RangeError):
-            quotient_iso(1, 3)
+            QuotientIso(1, 3)
