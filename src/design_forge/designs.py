@@ -1,20 +1,25 @@
-"""Design verification by one pair sweep over incidence bitsets.
+"""Design verification by one pair sweep over per-point incidence.
 
 Verification is literal: count, for every unordered pair of points, how
-many blocks contain it, then inspect the histogram. Each point gets a
-Python-int bitset of the blocks that contain it, so a pair's coverage is
-one AND and one popcount: the sweep does O(v^2) big-int operations of b
-bits each, whatever the block size. Groups go through the same
-incidence helper; a pair is same-group iff its two group bitsets meet, so
-the grouped check is the plain sweep plus that mask. Reports keep the full
+many blocks contain it, then inspect the histogram. The sweep takes each
+point a in order with the coverage of every pair (a, c), c > a. A point's
+blocks are held in whichever form takes less memory: while v <= 32 k, a
+Python-int bitset over the b blocks, so a pair's coverage is one AND and
+one popcount (O(v^2 * b/64) word operations on v * b bits); above that,
+an array of its blocks' indices, so its row is a count of those blocks'
+points (O(b * k^2) counts on b * k 32-bit entries). Groups are always
+bitsets; a pair is same-group iff its two group bitsets meet, so the
+grouped check is the plain sweep plus that mask. Reports keep the full
 histograms so near-misses stay diagnosable, and the first counterexample
 is deterministic (smallest failing pair in lexicographic order).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import (
     ConsistencyError,
@@ -23,6 +28,11 @@ from .errors import (
     ShapeError,
     StateError,
 )
+
+# Points hold their blocks as bitsets while v <= 32 k, where v * b bits
+# are no more than the b * k 32-bit indices of the other form; timed
+# sweeps of random blocks broke even near the same ratio.
+_BITSET_MAX_V_PER_K = 32
 
 
 @dataclass(frozen=True)
@@ -60,14 +70,16 @@ def _items(collection):
     return items if isinstance(items, (list, tuple)) else list(items)
 
 
-def _incidence(items, index: dict, noun: str, repeat_error):
+def _incidence(items, index: dict, noun: str, repeat_error, packed: bool):
     """Check uniform size, no repeated point and containment, item by item.
 
-    Returns (item size, rows) where bit j of rows[i] is set iff item j
-    contains the point with index i.
+    Returns (item size, rows) where rows[i] holds the items that contain
+    the point with index i: packed, an int whose bit j is set iff item j
+    does; otherwise an array of those j.
     """
     size = len(items[0])
-    rows = [bytearray((len(items) + 7) >> 3) for _ in index]
+    nbytes = (len(items) + 7) >> 3
+    rows = [bytearray(nbytes) if packed else array("I") for _ in index]
     for j, item in enumerate(items):
         if len(item) != size:
             raise ShapeError(
@@ -78,33 +90,51 @@ def _incidence(items, index: dict, noun: str, repeat_error):
         byte, bit = j >> 3, 1 << (j & 7)
         try:
             for x in item:
-                rows[index[x]][byte] |= bit
+                if packed:
+                    rows[index[x]][byte] |= bit
+                else:
+                    rows[index[x]].append(j)
         except KeyError as exc:
             raise ContainmentError(
                 f"{noun} {tuple(item)} uses point {exc.args[0]} "
                 "outside the point set"
             ) from None
-    for i, row in enumerate(rows):
-        rows[i] = int.from_bytes(row, "little")
+    if packed:
+        for i, row in enumerate(rows):
+            rows[i] = int.from_bytes(row, "little")
     return size, rows
 
 
-def _block_incidence(blocks, index: dict):
-    """Returns (b, k, per-point block bitsets) after the block checks."""
+def _block_incidence(blocks, pts: list, index: dict):
+    """Returns (b, k, r histogram, coverage rows) after the block checks.
+
+    Row a of the coverage rows, made when the sweep reaches it, lists
+    the coverage of the pairs (a, c) for c > a in order.
+    """
     items = _items(blocks)
     if not items:
         raise ShapeError("cannot verify an empty block collection")
     if len(items[0]) < 2:
         raise ShapeError("blocks must have at least two points")
-    k, inc = _incidence(items, index, "block", ShapeError)
-    return len(items), k, inc
+    packed = len(pts) <= _BITSET_MAX_V_PER_K * len(items[0])
+    k, inc = _incidence(items, index, "block", ShapeError, packed)
+    r_counts = Counter(map(int.bit_count if packed else len, inc))
+    if packed:
+        rows = (
+            [(row & other).bit_count() for other in inc[a + 1:]]
+            for a, row in enumerate(inc)
+        )
+    else:
+        # Row a: how often each later point turns up in the blocks of a.
+        rows = (
+            map(Counter(chain.from_iterable(map(items.__getitem__, row))).get,
+                pts[a + 1:], repeat(0))
+            for a, row in enumerate(inc)
+        )
+    return len(items), k, dict(sorted(r_counts.items())), rows
 
 
-def _popcount_histogram(rows) -> dict[int, int]:
-    return dict(sorted(Counter(row.bit_count() for row in rows).items()))
-
-
-def _sweep(pts: list, inc: list[int], ginc: list[int]):
+def _sweep(pts: list, rows, ginc: list[int]):
     """One pass over the pairs a < c, split by the same-group mask.
 
     Returns (cross-pair coverage histogram, worst same-group coverage,
@@ -115,11 +145,9 @@ def _sweep(pts: list, inc: list[int], ginc: list[int]):
     reference = None
     within = 0
     within_example = cross_example = None
-    v = len(pts)
-    for a in range(v):
-        row, group_row = inc[a], ginc[a]
-        for c in range(a + 1, v):
-            cov = (row & inc[c]).bit_count()
+    for a, covs in enumerate(rows):
+        group_row = ginc[a]
+        for c, cov in enumerate(covs, a + 1):
             if group_row & ginc[c]:
                 within = max(within, cov)
                 if cov and within_example is None:
@@ -144,14 +172,14 @@ def verify_bibd(points, blocks) -> DesignReport:
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    b, k, inc = _block_incidence(blocks, index)
-    hist, _, _, counterexample = _sweep(pts, inc, [0] * len(pts))
+    b, k, r_hist, rows = _block_incidence(blocks, pts, index)
+    hist, _, _, counterexample = _sweep(pts, rows, [0] * len(pts))
     passed = len(hist) == 1
     return DesignReport(
         v=len(pts),
         k=k,
         b=b,
-        r_histogram=_popcount_histogram(inc),
+        r_histogram=r_hist,
         lambda_histogram=hist,
         passed=passed,
         counterexample=None if passed else counterexample,
@@ -172,19 +200,19 @@ def verify_gdd(points, groups, blocks) -> GddReport:
     group_items = _items(groups)
     if not group_items:
         raise ShapeError("cannot verify with an empty group collection")
-    _, ginc = _incidence(group_items, index, "group", PartitionError)
+    _, ginc = _incidence(group_items, index, "group", PartitionError, True)
     partition_ok = len(group_items) > 1 and all(
         row.bit_count() == 1 for row in ginc
     )
-    b, k, inc = _block_incidence(blocks, index)
-    hist, within, within_example, cross_example = _sweep(pts, inc, ginc)
+    b, k, r_hist, rows = _block_incidence(blocks, pts, index)
+    hist, within, within_example, cross_example = _sweep(pts, rows, ginc)
     cross_ok = len(hist) == 1
     passed = partition_ok and within == 0 and cross_ok
     return GddReport(
         v=len(pts),
         k=k,
         b=b,
-        r_histogram=_popcount_histogram(inc),
+        r_histogram=r_hist,
         lambda_histogram=hist,
         passed=passed,
         counterexample=None if passed else within_example or cross_example,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from design_forge import designs
 from design_forge.blocks import gdd_blocks, gdd_groups, zero_sum_blocks
 from design_forge.designs import (
     GddReport,
@@ -41,6 +43,14 @@ def brute_gdd_verdict(points, groups, blocks):
             (pr for pr in cross if cov[pr] != cov[cross[0]]), None
         )
     return dict(Counter(cov[pr] for pr in cross)), within, example
+
+
+@pytest.fixture(params=["bitsets", "indices"])
+def incidence_form(request, monkeypatch):
+    """Force the sweep to hold each point's blocks in one form."""
+    limit = 10**9 if request.param == "bitsets" else 0
+    monkeypatch.setattr(designs, "_BITSET_MAX_V_PER_K", limit)
+    return request.param
 
 
 class TestVerifyBibd:
@@ -203,6 +213,62 @@ class TestVerifyGdd:
             verify_gdd([2, 3, 4, 5], [(2, 9), (4, 5)], [])
         with pytest.raises(ShapeError, match="uniform group size"):
             verify_gdd([2, 3, 4, 5], [(2, 3), (4,)], [])
+
+
+class TestIncidenceForms:
+    """Bitset and block-index incidence must give identical verdicts."""
+
+    def test_bibd_against_brute_coverage(self, incidence_form):
+        rng = random.Random(7)
+        sparse = [tuple(rng.sample(range(40), 3)) for _ in range(30)]
+        sparse += sparse[:2]
+        fam = zero_sum_blocks(4, 4)
+        for points, blocks in (
+            (range(1, 16), fam),
+            (range(1, 16), fam.blocks[1:]),
+            (range(40), sparse),
+        ):
+            report = verify_bibd(points, blocks)
+            cov = pair_coverage(points, blocks)
+            pairs = list(cov)
+            example = next(
+                (pr for pr in pairs if cov[pr] != cov[pairs[0]]), None
+            )
+            occurrences = Counter(x for b in blocks for x in b)
+            occurrences.update({p: 0 for p in points})
+            assert report.lambda_histogram == dict(Counter(cov.values()))
+            assert report.r_histogram == dict(Counter(occurrences.values()))
+            assert report.counterexample == example
+
+    @pytest.mark.parametrize("ambient,k,alpha", [(4, 3, 1), (4, 4, 6), (5, 4, 1)])
+    def test_gdd_against_brute_coverage(self, incidence_form, ambient, k, alpha):
+        points = lifted_points(ambient, alpha)
+        groups = gdd_groups(ambient, alpha)
+        fam = gdd_blocks(ambient, k, alpha)
+        for blocks in (fam, fam.blocks[1:], [fam.blocks[0], fam.blocks[0]]):
+            report = verify_gdd(points, groups, blocks)
+            hist, within, example = brute_gdd_verdict(points, groups, blocks)
+            assert report.lambda_histogram == hist
+            assert report.within_group_coverage == within
+            assert report.counterexample == example
+
+    def test_block_defects_raise_alike(self, incidence_form):
+        with pytest.raises(ShapeError, match="uniform block size 3, found 2"):
+            verify_bibd(range(1, 8), [(1, 2, 3), (1, 4)])
+        with pytest.raises(ShapeError, match="repeats a point"):
+            verify_bibd(range(1, 8), [(1, 2, 3), (1, 1, 2)])
+        with pytest.raises(ContainmentError, match="uses point 9"):
+            verify_bibd(range(1, 8), [(1, 2, 3), (1, 2, 9)])
+
+    @pytest.mark.parametrize("m,k", [(6, 3), (7, 3), (8, 3)])
+    def test_zero_sum_designs_on_each_side_of_the_choice(self, m, k):
+        # At k = 3, v = 63 holds bitsets; v = 127 and v = 255 hold block
+        # indices.
+        v = 2**m - 1
+        report = verify_bibd(range(1, 2**m), zero_sum_blocks(m, k))
+        assert report.passed
+        assert observed_params(report)[0] == v
+        assert report.r_histogram == {report.b * k // v: v}
 
 
 class TestObservedParams:
