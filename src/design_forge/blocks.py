@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import ge, xor
 from typing import Callable, Iterator
 
 from .errors import (
@@ -44,13 +46,6 @@ DEFAULT_NODE_BUDGET = 100_000_000
 FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
 
 
-def _xor(items) -> int:
-    acc = 0
-    for x in items:
-        acc ^= x
-    return acc
-
-
 def as_block(elements) -> Block:
     """Canonical block form: strictly increasing tuple. Rejects duplicates."""
     b = tuple(sorted(elements))
@@ -69,15 +64,20 @@ def family_predicate(
 ) -> Callable[[Block], bool]:
     """The defining membership test of a family, as a standalone callable.
 
-    Kinds (m is the exponent of the field the blocks live in):
-      W      k-subsets of the nonzero elements with XOR-sum 0
-      Wpair  members of W that contain both elements of `pair`
-      I      k-subsets avoiding {0, alpha} with XOR-sum alpha
-      J      k-subsets avoiding {0, alpha} with XOR-sum 0
-      L      k-subsets of the nonzero elements fixed setwise by XOR alpha
-      U      k = 2: pairs {i, j} avoiding {0, alpha} with i ^ j = alpha;
-             k >= 3: k-subsets avoiding {0, alpha} with XOR-sum alpha that
-             meet each coset {x, x + alpha} at most once
+    A member of any family is a k-tuple that meets three facts (m is the
+    exponent of the field the blocks live in):
+      points   all lie in the allowed set: the nonzero elements, less
+               alpha for I, J and U
+      XOR-sum  0 for W, Wpair and J; alpha for I and U; free for L
+      one set condition, for the kinds that have one:
+               Wpair  holds both elements of `pair`
+               L      is closed under x -> x ^ alpha
+               U      is disjoint from its shift by alpha, so it meets
+                      each coset {x, x + alpha} at most once; not at
+                      k = 2, where U (the groups) is I at k = 2: the
+                      pairs {x, x + alpha}
+    The allowed set, and the shift table the L and U conditions read, have
+    2^m entries and are built once per call.
     """
     size = 1 << m
     if kind in ("I", "J", "L", "U"):
@@ -87,70 +87,30 @@ def family_predicate(
     if kind == "Wpair":
         if pair is None:
             raise ArgumentError("family 'Wpair' needs its required pair")
-
-    if kind == "W":
-
-        def pred(b: Block) -> bool:
-            return (
-                len(b) == k
-                and all(0 < x < size for x in b)
-                and _xor(b) == 0
-            )
-
-    elif kind == "Wpair":
-        i, j = pair
-
-        def pred(b: Block) -> bool:
-            return (
-                len(b) == k
-                and i in b
-                and j in b
-                and all(0 < x < size for x in b)
-                and _xor(b) == 0
-            )
-
-    elif kind in ("I", "J"):
-        target = alpha if kind == "I" else 0
-
-        def pred(b: Block) -> bool:
-            return (
-                len(b) == k
-                and all(0 < x < size and x != alpha for x in b)
-                and _xor(b) == target
-            )
-
-    elif kind == "L":
-
-        def pred(b: Block) -> bool:
-            bs = set(b)
-            return (
-                len(b) == k
-                and all(0 < x < size for x in b)
-                and bs == {x ^ alpha for x in bs}
-            )
-
-    elif kind == "U":
-        if k == 2:
-
-            def pred(b: Block) -> bool:
-                return (
-                    len(b) == 2
-                    and all(0 < x < size and x != alpha for x in b)
-                    and b[0] ^ b[1] == alpha
-                )
-
-        else:
-
-            def pred(b: Block) -> bool:
-                if len(b) != k or _xor(b) != alpha:
-                    return False
-                if any(not 0 < x < size or x == alpha for x in b):
-                    return False
-                bs = set(b)
-                return not any((x ^ alpha) in bs for x in b)
-
-    else:
+    elif kind not in FAMILY_KINDS:
         raise ArgumentError(f"unknown family kind {kind!r}")
+
+    allowed = set(range(1, size))
+    if kind in ("I", "J", "U"):
+        allowed.discard(alpha)
+    target = {"W": 0, "Wpair": 0, "J": 0, "I": alpha, "U": alpha}.get(kind)
+    condition = None
+    if kind == "Wpair":
+        i, j = pair
+        condition = lambda b: i in b and j in b
+    elif kind == "L" or (kind == "U" and k != 2):
+        # Read only after the allowed check, so every index is below size.
+        shift = [x ^ alpha for x in range(size)].__getitem__
+        test = set.issuperset if kind == "L" else set.isdisjoint
+        condition = lambda b: test(set(b), map(shift, b))
+
+    def pred(b: Block) -> bool:
+        return (
+            len(b) == k
+            and allowed.issuperset(b)
+            and (target is None or reduce(xor, b, 0) == target)
+            and (condition is None or condition(b))
+        )
 
     return pred
 
@@ -174,7 +134,7 @@ class BlockFamily:
     def __post_init__(self):
         pred = family_predicate(self.kind, self.m, self.k, self.alpha, self.pair)
         for b in self.blocks:
-            if any(x >= y for x, y in zip(b, b[1:])):
+            if any(map(ge, b, b[1:])):
                 raise FamilyError(f"block {b} is not strictly increasing")
             if not pred(b):
                 raise FamilyError(f"block {b} violates the {self.kind} predicate")
@@ -375,7 +335,7 @@ def gdd_blocks(
         # forced by the target sum, which fixes the parity of the shifts.
         cosets = [(section[y], section[y] ^ alpha) for y in base[:-1]]
         for head in product(*cosets):
-            blocks.append(tuple(sorted((*head, _xor(head) ^ alpha))))
+            blocks.append(tuple(sorted((*head, reduce(xor, head, alpha)))))
     blocks.sort()
     return BlockFamily("U", ambient_exp, k, tuple(blocks), alpha=alpha)
 

@@ -22,6 +22,7 @@ exception; a bug or an environment limit, never a verdict on the design),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -206,7 +207,9 @@ def _read_jsonl_blocks(
                 continue
             try:
                 obj = json.loads(line)
-                block = tuple(int(x) for x in obj["block"])
+                block = tuple(obj["block"])
+                if set(map(type, block)) - {int}:  # a float, string or bool
+                    raise TypeError
             except (ValueError, KeyError, TypeError):
                 raise ArgumentError(f"{path}:{n}: not a block record") from None
             if obj.get("m") != expect_m:
@@ -229,30 +232,8 @@ def _read_jsonl_blocks(
     return out
 
 
-def _histogram_json(hist: dict[int, int]) -> dict[str, int]:
-    return {str(key): hist[key] for key in sorted(hist)}
-
-
 def _report_json(report: designs.DesignReport) -> str:
-    payload = {
-        "v": report.v,
-        "k": report.k,
-        "b": report.b,
-        "r_histogram": _histogram_json(report.r_histogram),
-        "lambda_histogram": _histogram_json(report.lambda_histogram),
-        "passed": report.passed,
-        "counterexample": list(report.counterexample) if report.counterexample else None,
-    }
-    if isinstance(report, designs.GddReport):
-        payload.update(
-            {
-                "group_count": report.group_count,
-                "partition_ok": report.partition_ok,
-                "within_group_coverage": report.within_group_coverage,
-                "cross_group_lambda": report.cross_group_lambda,
-            }
-        )
-    return json.dumps(payload) + "\n"
+    return json.dumps(dataclasses.asdict(report)) + "\n"
 
 
 def cmd_verify_bibd(args) -> int:
@@ -355,6 +336,11 @@ def cmd_crosscheck(args) -> int:
     check_exponent(m_lo)
     check_exponent(m_hi)
     k_lo, k_hi = _parse_span(args.k)
+    # Each m runs the sizes of --k that exist for it, 3..2^m - 4.
+    if k_hi < 3 or k_lo > (1 << m_hi) - 4:
+        raise ArgumentError(
+            f"--k {args.k} selects no block size in 3..{(1 << m_hi) - 4} for --m {args.m}"
+        )
     out_rows = [
         [
             "m",

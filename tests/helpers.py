@@ -57,6 +57,12 @@ def brute_gdd_blocks(ambient_exp: int, k: int, alpha: int) -> list[tuple[int, ..
     return out
 
 
+def brute_gdd_groups(ambient_exp: int, alpha: int) -> list[tuple[int, ...]]:
+    """The pairs {x, x ^ alpha} with x outside {0, alpha}: family U at k = 2."""
+    ground = [x for x in range(1, 2**ambient_exp) if x != alpha]
+    return sorted({tuple(sorted((x, x ^ alpha))) for x in ground})
+
+
 def pair_coverage(points, blocks) -> dict[tuple[int, int], int]:
     """Coverage count for every unordered pair of points."""
     cov = {pr: 0 for pr in combinations(sorted(points), 2)}

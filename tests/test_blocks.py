@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -33,6 +34,7 @@ from design_forge.blocks import shift_representative
 from design_forge.field import natural_ordering
 from helpers import (
     brute_gdd_blocks,
+    brute_gdd_groups,
     brute_shift_invariant,
     brute_sum_to_shift,
     brute_sum_to_zero,
@@ -387,12 +389,15 @@ class TestFamilyPlumbing:
         assert [4, 8, 12] in fam
 
     def test_predicates_require_their_parameters(self):
-        with pytest.raises(ArgumentError):
-            family_predicate("I", 3, 3)
-        with pytest.raises(ArgumentError):
+        for kind in ("I", "J", "L", "U"):
+            with pytest.raises(ArgumentError, match=f"family '{kind}' needs a shift alpha"):
+                family_predicate(kind, 3, 3)
+        with pytest.raises(ArgumentError, match="family 'Wpair' needs its required pair"):
             family_predicate("Wpair", 3, 3)
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="unknown family kind 'X'"):
             family_predicate("X", 3, 3)
+        with pytest.raises(InvalidShiftError):
+            family_predicate("U", 3, 3, alpha=8)
 
     def test_independent_predicate_pass_over_every_family(self):
         # Re-verify enumerator output with the standalone predicates.
@@ -406,3 +411,89 @@ class TestFamilyPlumbing:
         fam_u = gdd_blocks(4, 3, 5)
         pred = family_predicate("U", 4, 3, alpha=5)
         assert all(pred(b) for b in fam_u)
+
+
+def _brute_family(kind, m, k, alpha, pair):
+    if kind == "W":
+        return brute_zero_sum(m, k)
+    if kind == "Wpair":
+        return brute_zero_sum_containing(m, k, *pair)
+    if kind == "I":
+        return brute_sum_to_shift(m, k, alpha)
+    if kind == "J":
+        return brute_sum_to_zero(m, k, alpha)
+    if kind == "L":
+        return brute_shift_invariant(m, k, alpha)
+    return brute_gdd_groups(m, alpha) if k == 2 else brute_gdd_blocks(m, k, alpha)
+
+
+_ORACLE_CASES = [
+    case
+    for m in (3, 4)
+    for case in (
+        [(m, "W", None, None)]
+        + [(m, "Wpair", None, pair) for pair in ((1, 2), (3, 2**m - 1))]
+        + [(m, kind, alpha, None) for kind in "IJLU" for alpha in (1, 6, 2**m - 1)]
+    )
+]
+
+
+class TestPredicateOracles:
+    @pytest.mark.parametrize(
+        "m,kind,alpha,pair",
+        _ORACLE_CASES,
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_predicate_is_brute_force_membership(self, m, kind, alpha, pair):
+        # Every k-subset of 0..2^m - 1, for every k: the predicate accepts
+        # exactly the oracle's members, in any order, and nothing that
+        # holds a point outside 1..2^m - 1 or has another size.
+        size = 2**m
+        preds = [family_predicate(kind, m, k, alpha=alpha, pair=pair) for k in range(size + 2)]
+        for k in range(size + 1):
+            pred = preds[k]
+            members = set(_brute_family(kind, m, k, alpha, pair))
+            for b in combinations(range(size), k):
+                assert pred(b) == pred(b[::-1]) == (b in members), b
+            for b in members:
+                assert not preds[k + 1](b), b
+                if b:
+                    assert not preds[k - 1](b), b
+                    assert not pred(b[:-1] + (size,)), b
+                    assert not pred((-1,) + b[1:]), b
+
+    @pytest.mark.parametrize(
+        "kind,m,k,alpha,pair,block,message",
+        [
+            pytest.param("W", 3, 3, None, None, (1, 8, 9), "violates the W predicate",
+                         id="point-out-of-range"),
+            pytest.param("I", 3, 4, 1, None, (1, 2, 4, 6), "violates the I predicate",
+                         id="alpha-in-I"),
+            pytest.param("J", 3, 3, 1, None, (1, 2, 3), "violates the J predicate",
+                         id="alpha-in-J"),
+            pytest.param("U", 4, 4, 1, None, (1, 2, 4, 6), "violates the U predicate",
+                         id="alpha-in-U"),
+            pytest.param("I", 3, 3, 1, None, (2, 4, 6), "violates the I predicate",
+                         id="wrong-xor"),
+            pytest.param("U", 4, 5, 1, None, (2, 3, 4, 8, 12), "violates the U predicate",
+                         id="coset-collision-in-U"),
+            pytest.param("Wpair", 3, 3, None, (1, 2), (1, 4, 5), "violates the Wpair predicate",
+                         id="pair-missing"),
+            pytest.param("L", 3, 2, 1, None, (2, 4), "violates the L predicate",
+                         id="L-not-shift-closed"),
+            pytest.param("W", 3, 3, None, None, (1, 2, 4, 7), "violates the W predicate",
+                         id="too-long"),
+            pytest.param("W", 3, 4, None, None, (1, 2, 3), "violates the W predicate",
+                         id="too-short"),
+            pytest.param("W", 3, 3, None, None, (3, 2, 1), "is not strictly increasing",
+                         id="not-increasing"),
+            pytest.param("W", 3, 3, None, None, (4, 2, 1), "is not strictly increasing",
+                         id="order-checked-before-predicate"),
+            pytest.param("W", 3, 3, None, None, (1, 1, 2), "is not strictly increasing",
+                         id="repeated-point"),
+        ],
+    )
+    def test_family_error_names_the_violation(self, kind, m, k, alpha, pair, block, message):
+        with pytest.raises(FamilyError) as exc:
+            BlockFamily(kind, m, k, (block,), alpha=alpha, pair=pair)
+        assert str(exc.value) == f"block {block} {message}"

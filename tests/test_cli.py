@@ -236,6 +236,21 @@ class TestVerifyRoundTrip:
         proc = run_cli(["verify-bibd", "--m", "4", "--k", "3", "--blocks", str(exported)])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("first", [1.0, "1", True], ids=["float", "digit-string", "bool"])
+    def test_non_integer_points_rejected(self, tmp_path, first):
+        # Each edited record still XORs to 0 once coerced to int.
+        exported = tmp_path / "w.jsonl"
+        run_cli(["export", "--m", "3", "--k", "3", "--out", str(exported)])
+        lines = exported.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        assert record["block"] == [1, 2, 3]
+        record["block"][0] = first
+        exported.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+        proc = run_cli(["verify-bibd", "--m", "3", "--k", "3", "--blocks", str(exported)])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.endswith(b":1: not a block record\n")
+
     def test_mismatched_export_rejected(self, tmp_path):
         exported = tmp_path / "w.jsonl"
         run_cli(["export", "--m", "3", "--k", "3", "--out", str(exported)])
@@ -285,6 +300,13 @@ class TestUsage:
             assert proc.stdout == b""
             assert proc.stderr.startswith(b"error: field exponent")
             assert proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("span", ["1..2", "50..60"])
+    def test_crosscheck_rejects_a_k_span_with_no_cell(self, span):
+        proc = run_cli(["crosscheck", "--m", "3..4", "--k", span])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: --k {span} selects no block size in 3..12 for --m 3..4\n".encode()
 
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
         def interrupted(args):
