@@ -11,14 +11,14 @@ Two constructions and the machinery to check them:
 Enumeration (`blocks`), verification by exhaustive pair sweep (`designs`),
 and exact integer recurrences for every parameter (`params`) are kept
 independent so each can cross-examine the others; `cli` ties them into a
-command-line tool with a one-shot crosscheck.
+command-line tool with a one-shot crosscheck. The maps that witness the
+counting proofs live in `design_forge.witness`, which is not imported here.
 """
 
 from .blocks import (
     DEFAULT_NODE_BUDGET,
     Block,
     BlockFamily,
-    as_block,
     family_predicate,
     gdd_blocks,
     gdd_groups,
@@ -37,8 +37,6 @@ from .errors import (
     DesignForgeError,
     FamilyError,
     InvalidShiftError,
-    MapViolationError,
-    NoRepresentativeError,
     PartitionError,
     RangeError,
     ShapeError,
@@ -79,15 +77,12 @@ __all__ = [
     "FamilyError",
     "GddReport",
     "InvalidShiftError",
-    "MapViolationError",
-    "NoRepresentativeError",
     "ParamRow",
     "ParamTable",
     "PartitionError",
     "RangeError",
     "ShapeError",
     "StateError",
-    "as_block",
     "balance_parameters",
     "closed_form_balance",
     "closed_form_gdd_balance",

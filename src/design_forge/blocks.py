@@ -1,4 +1,4 @@
-"""Block-family enumeration over GF(2^m), and the maps between families.
+"""Block-family enumeration over GF(2^m).
 
 A block is a strictly increasing tuple of field elements (ints). Families
 are enumerated exhaustively by depth-first search over ascending bitmasks,
@@ -24,19 +24,16 @@ from .errors import (
     ArgumentError,
     BudgetExceededError,
     FamilyError,
-    MapViolationError,
-    NoRepresentativeError,
     RangeError,
 )
 from .field import (
     MAX_AMBIENT_EXPONENT,
     MIN_EXPONENT,
-    CosetOrdering,
-    QuotientIso,
     check_exponent,
     check_shift,
     cosets_of,
     nonzero_elements,
+    section,
 )
 
 Block = tuple[int, ...]
@@ -44,15 +41,6 @@ Block = tuple[int, ...]
 DEFAULT_NODE_BUDGET = 100_000_000
 
 FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
-
-
-def as_block(elements) -> Block:
-    """Canonical block form: strictly increasing tuple. Rejects duplicates."""
-    b = tuple(sorted(elements))
-    for a, c in zip(b, b[1:]):
-        if a == c:
-            raise FamilyError(f"duplicate element {a} in block")
-    return b
 
 
 def family_predicate(
@@ -293,19 +281,6 @@ def shift_invariant_blocks(
     return BlockFamily("L", m, k, tuple(blocks), alpha=alpha)
 
 
-def shifted_sum_families(
-    m: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[BlockFamily, BlockFamily, BlockFamily]:
-    """The three families tied to one shift: sum-to-alpha, sum-to-zero,
-    and shift-invariant. Their sizes satisfy the three-way counting
-    identity that drives the per-point recurrence."""
-    return (
-        sum_to_shift_blocks(m, k, alpha, budget),
-        sum_to_zero_blocks(m, k, alpha, budget),
-        shift_invariant_blocks(m, k, alpha, budget),
-    )
-
-
 def gdd_blocks(
     ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> BlockFamily:
@@ -316,24 +291,26 @@ def gdd_blocks(
     its shift by alpha are disjoint).
 
     Built as a lift of the zero-sum family one exponent down. The quotient
-    map by {0, alpha} sends such a block onto a zero-sum k-block; the
-    section of that map sends each zero-sum block back to k points that
-    XOR to 0, one per coset. Shifting an odd number of them by alpha gives
-    the 2^(k-1) blocks over it. The budget is charged one node per node of
-    the zero-sum search plus one per lifted block.
+    map by {0, alpha} sends such a block onto a zero-sum k-block; an
+    additive section of that map (`field.section`) sends each zero-sum
+    block back to k points that XOR to 0, one per coset. Shifting an odd
+    number of them by alpha gives the 2^(k-1) blocks over it. Those are
+    every choice of one point per coset that XORs to alpha, so the output
+    does not depend on which section is used. The budget is charged one
+    node per node of the zero-sum search plus one per lifted block.
     """
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
     m = ambient_exp - 1
     _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
-    section = QuotientIso(alpha, ambient_exp).section
+    lift = section(alpha, ambient_exp)
     blocks: list[Block] = []
     for base in _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud):
         bud.spend(1 << (k - 1))
         # Choose freely in every coset but the last; the last point is then
         # forced by the target sum, which fixes the parity of the shifts.
-        cosets = [(section[y], section[y] ^ alpha) for y in base[:-1]]
+        cosets = [(lift[y], lift[y] ^ alpha) for y in base[:-1]]
         for head in product(*cosets):
             blocks.append(tuple(sorted((*head, reduce(xor, head, alpha)))))
     blocks.sort()
@@ -348,126 +325,3 @@ def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:
     check_shift(alpha, ambient_exp)
     pairs = [c.members for c in cosets_of(alpha, ambient_exp) if c.low != 0]
     return BlockFamily("U", ambient_exp, 2, tuple(pairs), alpha=alpha)
-
-
-def representative(block: Block, alpha: int, ordering: CosetOrdering) -> int:
-    """The element of block \\ (block + alpha) whose coset ranks highest.
-
-    Unique whenever it exists, because survivors occupy distinct cosets.
-    A block that equals its own shift has no survivors and raises
-    NoRepresentativeError.
-    """
-    if ordering.alpha != alpha:
-        raise ArgumentError(
-            f"ordering is for shift {ordering.alpha}, not {alpha}"
-        )
-    bs = set(block)
-    survivors = [x for x in block if (x ^ alpha) not in bs]
-    if not survivors:
-        raise NoRepresentativeError(
-            f"block {block} equals its own shift by {alpha}"
-        )
-    return max(survivors, key=ordering.rank)
-
-
-def _check_map_triple(i: int, j: int, ell: int, ordering: CosetOrdering) -> None:
-    size = 1 << ordering.m
-    if len({i, j, ell}) != 3 or not all(0 < x < size for x in (i, j, ell)):
-        raise ArgumentError(
-            f"need three distinct nonzero elements below {size}, got {i}, {j}, {ell}"
-        )
-    if ordering.alpha != j ^ ell:
-        raise ArgumentError(
-            f"ordering must be for shift {j ^ ell}, not {ordering.alpha}"
-        )
-
-
-def replace_point_map(
-    block: Block, i: int, j: int, ell: int, ordering: CosetOrdering
-) -> Block:
-    """Map a zero-sum block containing i and j to one containing i and ell.
-
-    With alpha = j ^ ell: if ell is already in the block, the block is its
-    own image. Otherwise j and the representative beta of
-    block \\ {i, j, alpha} are removed, and ell and beta + alpha inserted,
-    which preserves the zero XOR-sum. The image is re-checked against the
-    target family: when beta + alpha collides with an element already
-    present (it can land exactly on i), the image degenerates and a
-    MapViolationError carrying the offending block is raised instead of
-    returning a wrong answer. The size identity between the two families
-    holds regardless and can always be confirmed by direct enumeration.
-    """
-    _check_map_triple(i, j, ell, ordering)
-    alpha = j ^ ell
-    k = len(block)
-    if not family_predicate("Wpair", ordering.m, k, pair=(i, j))(block):
-        raise FamilyError(
-            f"block {block} is not a zero-sum block containing {i} and {j}"
-        )
-    bs = set(block)
-    if ell in bs:
-        return as_block(bs)
-    core = as_block(bs - {i, j, alpha})
-    beta = representative(core, alpha, ordering)
-    image = tuple(sorted((bs - {j, beta}) | {ell, beta ^ alpha}))
-    if not family_predicate("Wpair", ordering.m, k, pair=(i, ell))(image):
-        raise MapViolationError(
-            block, image, f"image left the zero-sum family through {i} and {ell}"
-        )
-    return image
-
-
-def replace_point_inverse(
-    block: Block, i: int, j: int, ell: int, ordering: CosetOrdering
-) -> Block:
-    """Inverse of replace_point_map: send a zero-sum block containing i and
-    ell back to one containing i and j. Same construction with the roles of
-    j and ell exchanged; the representative comes out shifted by alpha,
-    which is what makes the round trip the identity."""
-    _check_map_triple(i, j, ell, ordering)
-    alpha = j ^ ell
-    k = len(block)
-    if not family_predicate("Wpair", ordering.m, k, pair=(i, ell))(block):
-        raise FamilyError(
-            f"block {block} is not a zero-sum block containing {i} and {ell}"
-        )
-    bs = set(block)
-    if j in bs:
-        return as_block(bs)
-    core = as_block(bs - {i, ell, alpha})
-    beta = representative(core, alpha, ordering)
-    image = tuple(sorted((bs - {ell, beta}) | {j, beta ^ alpha}))
-    if not family_predicate("Wpair", ordering.m, k, pair=(i, j))(image):
-        raise MapViolationError(
-            block, image, f"image left the zero-sum family through {i} and {j}"
-        )
-    return image
-
-
-def shift_representative(
-    block: Block, alpha: int, k: int, ordering: CosetOrdering
-) -> Block:
-    """Move the representative across its coset: drop beta, insert beta + alpha.
-
-    Sends a k-subset avoiding {0, alpha} with XOR-sum alpha to one with
-    XOR-sum zero over the same ground set. Blocks fixed by the shift have
-    no representative and raise NoRepresentativeError; everything else maps
-    injectively, which is what the counting identities rest on.
-    """
-    if len(block) != k:
-        raise ArgumentError(f"expected a block of size {k}, got {len(block)}")
-    if ordering.alpha != alpha:
-        raise ArgumentError(
-            f"ordering is for shift {ordering.alpha}, not {alpha}"
-        )
-    if not family_predicate("I", ordering.m, k, alpha=alpha)(block):
-        raise FamilyError(
-            f"block {block} does not avoid {{0, {alpha}}} and XOR to {alpha}"
-        )
-    beta = representative(block, alpha, ordering)
-    image = tuple(sorted((set(block) - {beta}) | {beta ^ alpha}))
-    if not family_predicate("J", ordering.m, k, alpha=alpha)(image):
-        raise MapViolationError(
-            block, image, "image left the sum-to-zero companion family"
-        )
-    return image

@@ -20,11 +20,6 @@ from math import comb, factorial
 from .errors import ConsistencyError, RangeError
 from .field import check_exponent
 
-# cos(k * pi / 2) as an exact integer, looked up by k mod 4. This is the
-# only place the "single formula" forms need a sign; no floating point.
-_COS_QUARTER = {0: 1, 1: 0, 2: -1, 3: 0}
-
-
 def _exact_div(num: int, den: int, what: str) -> int:
     q, r = divmod(num, den)
     if r:
@@ -109,21 +104,6 @@ def balance_parameters(m: int) -> dict[int, int]:
         lam[k + 1] = base
     lam[top] = 0
     return lam
-
-
-def balance_step(lam_k: int, k: int, m: int) -> int:
-    """Single-formula step from lambda_k to lambda_{k+1}.
-
-    Identical to the three-case branch in balance_parameters: the sign of
-    the correction term is the exact integer cos(k*pi/2) looked up by
-    k mod 4, and the binomial index floor(k/2 - 1) is (k - 2) // 2.
-    """
-    if k < 2:
-        raise RangeError(f"step needs k >= 2, got {k}")
-    check_exponent(m)
-    base = _exact_div(((1 << m) - k - 1) * lam_k, k - 1, "balance step")
-    sign = _COS_QUARTER[k % 4]
-    return base - sign * comb((1 << (m - 1)) - 2, (k - 2) // 2)
 
 
 def gdd_balance_parameters(m: int) -> dict[int, int]:

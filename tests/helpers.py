@@ -72,14 +72,15 @@ def pair_coverage(points, blocks) -> dict[tuple[int, int], int]:
     return cov
 
 
-def run_cli(args, env_extra=None) -> subprocess.CompletedProcess:
-    """Run the CLI in a subprocess, importable straight from the src tree."""
+def run_python(args, env_extra=None) -> subprocess.CompletedProcess:
+    """Run the interpreter in a subprocess, importing straight from the src tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "design_forge.cli", *args],
-        capture_output=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def run_cli(args, env_extra=None) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess, importable straight from the src tree."""
+    return run_python(["-m", "design_forge.cli", *args], env_extra)

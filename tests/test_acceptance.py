@@ -15,14 +15,12 @@ from design_forge import cli, params
 from design_forge.blocks import (
     gdd_blocks,
     gdd_groups,
-    replace_point_inverse,
-    replace_point_map,
     zero_sum_blocks,
     zero_sum_blocks_containing,
 )
 from design_forge.designs import observed_params, verify_bibd, verify_gdd
 from design_forge.errors import MapViolationError
-from design_forge.field import natural_ordering
+from design_forge.witness import natural_ordering, replace_point_map
 from design_forge.params import (
     balance_parameters,
     closed_form_balance,
@@ -161,7 +159,7 @@ def test_criterion_6_replacement_map_property_suite():
             assert set(images) == codomain, (m, k, i, j, ell)
             assert len(set(images)) == len(domain)
             for b, image in zip(domain, images):
-                back = replace_point_inverse(image, i, j, ell, ordering)
+                back = replace_point_map(image, i, ell, j, ordering)
                 assert back == b, (m, k, i, j, ell)
     assert clean + reported == 200
     print(f"ACCEPTANCE 6 PASS: 200 sampled triples ({clean} clean bijections, "

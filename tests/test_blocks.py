@@ -1,4 +1,5 @@
-"""Enumerators against brute-force oracles, plus the representative maps."""
+"""Enumerators against brute-force oracles, plus the representative maps of
+`design_forge.witness`."""
 
 from __future__ import annotations
 
@@ -9,15 +10,12 @@ import pytest
 
 from design_forge.blocks import (
     BlockFamily,
-    as_block,
     family_predicate,
     gdd_blocks,
     gdd_groups,
-    replace_point_inverse,
-    replace_point_map,
-    representative,
     shift_invariant_blocks,
-    shifted_sum_families,
+    sum_to_shift_blocks,
+    sum_to_zero_blocks,
     zero_sum_blocks,
     zero_sum_blocks_containing,
 )
@@ -30,8 +28,13 @@ from design_forge.errors import (
     NoRepresentativeError,
     RangeError,
 )
-from design_forge.blocks import shift_representative
-from design_forge.field import natural_ordering
+from design_forge.witness import (
+    as_block,
+    natural_ordering,
+    replace_point_map,
+    representative,
+    shift_representative,
+)
 from helpers import (
     brute_gdd_blocks,
     brute_gdd_groups,
@@ -129,38 +132,45 @@ class TestZeroSumBlocksContaining:
             zero_sum_blocks_containing(3, 3, 0, 2)
 
 
+# The three families tied to one shift: sum-to-alpha (I), sum-to-zero (J)
+# and shift-invariant (L). Their sizes satisfy the three-way counting
+# identity that drives the per-point recurrence.
+SHIFTED_BUILDERS = (sum_to_shift_blocks, sum_to_zero_blocks, shift_invariant_blocks)
+
+
 class TestShiftedSumFamilies:
     def test_m3_k2(self):
-        fam_i, fam_j, fam_l = shifted_sum_families(3, 2, 1)
-        assert (len(fam_i), len(fam_j), len(fam_l)) == (3, 0, 3)
+        sizes = [len(build(3, 2, 1)) for build in SHIFTED_BUILDERS]
+        assert sizes == [3, 0, 3]
 
     def test_odd_k_shift_invariant_is_empty(self):
         for k in (3, 5):
             assert len(shift_invariant_blocks(3, k, 1)) == 0
 
     def test_m4_case_identity(self):
-        fam_i, fam_j, fam_l = shifted_sum_families(4, 4, 5)
+        fam_i, fam_j, fam_l = (build(4, 4, 5) for build in SHIFTED_BUILDERS)
         assert (len(fam_i), len(fam_j), len(fam_l)) == (56, 77, 21)
         assert len(fam_i) == len(fam_j) - 21  # k = 0 (mod 4)
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_m3_matches_brute_force(self, alpha):
         for k in range(2, 7):
-            fam_i, fam_j, fam_l = shifted_sum_families(3, k, alpha)
+            fam_i, fam_j, fam_l = (build(3, k, alpha) for build in SHIFTED_BUILDERS)
             assert list(fam_i) == brute_sum_to_shift(3, k, alpha)
             assert list(fam_j) == brute_sum_to_zero(3, k, alpha)
             assert list(fam_l) == brute_shift_invariant(3, k, alpha)
 
     @pytest.mark.parametrize("alpha,k", [(1, 4), (5, 6), (11, 3)])
     def test_m4_spot_matches_brute_force(self, alpha, k):
-        fam_i, fam_j, fam_l = shifted_sum_families(4, k, alpha)
+        fam_i, fam_j, fam_l = (build(4, k, alpha) for build in SHIFTED_BUILDERS)
         assert list(fam_i) == brute_sum_to_shift(4, k, alpha)
         assert list(fam_j) == brute_sum_to_zero(4, k, alpha)
         assert list(fam_l) == brute_shift_invariant(4, k, alpha)
 
     def test_zero_shift_rejected(self):
-        with pytest.raises(InvalidShiftError):
-            shifted_sum_families(3, 3, 0)
+        for build in SHIFTED_BUILDERS:
+            with pytest.raises(InvalidShiftError):
+                build(3, 3, 0)
 
 
 class TestGddBlocks:
@@ -268,7 +278,7 @@ class TestReplacePointMap:
         assert len(dom) == 16
         for b in dom:
             image = replace_point_map(b, 1, 2, ell, o)
-            assert replace_point_inverse(image, 1, 2, ell, o) == b
+            assert replace_point_map(image, 1, ell, 2, o) == b
 
     def test_full_triple_sweep_is_clean_on_the_small_field(self):
         for k in (3, 4):
@@ -340,10 +350,10 @@ class TestReplacePointMap:
 class TestShiftRepresentative:
     def test_odd_k_bijection(self):
         o = natural_ordering(1, 3)
-        fam_i, fam_j, _ = shifted_sum_families(3, 3, 1)
+        fam_i = sum_to_shift_blocks(3, 3, 1)
         images = {shift_representative(b, 1, 3, o) for b in fam_i}
         assert len(images) == len(fam_i)
-        assert images == set(fam_j.blocks)
+        assert images == set(sum_to_zero_blocks(3, 3, 1).blocks)
 
     def test_shift_invariant_blocks_have_no_representative(self):
         o = natural_ordering(1, 3)
@@ -352,7 +362,7 @@ class TestShiftRepresentative:
 
     def test_k0_mod4_bijects_onto_the_difference(self):
         o = natural_ordering(5, 4)
-        fam_i, fam_j, fam_l = shifted_sum_families(4, 4, 5)
+        fam_i, fam_j, fam_l = (build(4, 4, 5) for build in SHIFTED_BUILDERS)
         fixed = set(fam_l.blocks)
         images = {shift_representative(b, 5, 4, o) for b in fam_i}
         assert len(images) == len(fam_i)
@@ -360,7 +370,7 @@ class TestShiftRepresentative:
 
     def test_image_sum_shifts_by_alpha(self):
         o = natural_ordering(3, 4)
-        fam_i, _, _ = shifted_sum_families(4, 5, 3)
+        fam_i = sum_to_shift_blocks(4, 5, 3)
         for b in list(fam_i)[:20]:
             image = shift_representative(b, 3, 5, o)
             acc = 0
@@ -404,7 +414,7 @@ class TestFamilyPlumbing:
         fam = zero_sum_blocks(3, 4)
         pred = family_predicate("W", 3, 4)
         assert all(pred(b) for b in fam)
-        fam_i, fam_j, fam_l = shifted_sum_families(4, 4, 9)
+        fam_i, fam_j, fam_l = (build(4, 4, 9) for build in SHIFTED_BUILDERS)
         for family, kind in ((fam_i, "I"), (fam_j, "J"), (fam_l, "L")):
             pred = family_predicate(kind, 4, 4, alpha=9)
             assert all(pred(b) for b in family)

@@ -9,7 +9,7 @@ import pytest
 
 from design_forge import cli, params
 from design_forge.errors import ConsistencyError
-from helpers import run_cli
+from helpers import run_cli, run_python
 
 
 class TestEnumerate:
@@ -293,6 +293,16 @@ class TestUsage:
         capsys.readouterr()
         assert sys.get_int_max_str_digits() == before
 
+    def test_params_without_the_int_to_str_limit_api(self, monkeypatch, tmp_path, capsys):
+        # Pythons before 3.10.7 have no limit and no functions to set it.
+        normal, fallback = tmp_path / "normal.csv", tmp_path / "fallback.csv"
+        assert cli.main(["params", "--m", "6", "--out", str(normal)]) == 0
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert cli.main(["params", "--m", "6", "--out", str(fallback)]) == 0
+        capsys.readouterr()
+        assert fallback.read_bytes() == normal.read_bytes()
+
     def test_crosscheck_checks_m_range_before_any_work(self):
         for span in ("3..17", "16..17", "2..4"):
             proc = run_cli(["crosscheck", "--m", span, "--k", "3", "--budget", "1000"])
@@ -331,3 +341,12 @@ class TestUsage:
         assert cli.main(["enumerate", "--m", "4", "--k", "99"]) == 2
         assert cli.main(["enumerate", "--m", "4", "--k", "5", "--budget", "10"]) == 3
         capsys.readouterr()
+
+
+class TestModuleBoundary:
+    def test_commands_do_not_import_the_witnesses(self):
+        proc = run_python(
+            ["-c", "import design_forge.cli, sys; print('design_forge.witness' in sys.modules)"]
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == b"False\n"

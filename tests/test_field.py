@@ -1,19 +1,16 @@
-"""Additive structure: cosets, orderings, and the quotient isomorphism."""
+"""Additive structure: cosets, the section, and the orderings and quotient
+map of `design_forge.witness`."""
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
 from design_forge.errors import ArgumentError, InvalidShiftError, RangeError
-from design_forge.field import (
-    Coset,
-    QuotientIso,
-    coset_of,
-    cosets_of,
-    natural_ordering,
-)
+from design_forge.field import Coset, cosets_of, section
+from design_forge.witness import coset_of, natural_ordering, quotient
 from helpers import xor_sum
 
 
@@ -84,14 +81,14 @@ class TestNaturalOrdering:
 class TestQuotientIso:
     def test_subgroup_maps_to_zero(self):
         for alpha in range(1, 16):
-            psi = QuotientIso(alpha, 4)
+            psi = partial(quotient, alpha=alpha, exp=4)
             assert psi(0) == 0
             assert psi(alpha) == 0
 
     def test_shift_one_is_a_right_shift(self):
-        # With alpha = 1 the greedy basis is the standard one, so the map
-        # just drops the low bit.
-        psi = QuotientIso(1, 4)
+        # With alpha = 1 the top set bit is bit 0, so the map just drops
+        # the low bit.
+        psi = partial(quotient, alpha=1, exp=4)
         assert all(psi(x) == x >> 1 for x in range(16))
         assert psi(coset_of(2, 1).low) ^ psi(coset_of(4, 1).low) == psi(coset_of(6, 1).low)
 
@@ -99,7 +96,7 @@ class TestQuotientIso:
     def test_additive_and_constant_on_cosets_exhaustive(self, exp):
         size = 2**exp
         for alpha in range(1, size):
-            psi = QuotientIso(alpha, exp)
+            psi = partial(quotient, alpha=alpha, exp=exp)
             for x in range(size):
                 assert psi(x) == psi(x ^ alpha)
                 for y in range(size):
@@ -107,7 +104,7 @@ class TestQuotientIso:
 
     @pytest.mark.parametrize("alpha", [1, 9, 37, 63])
     def test_additive_at_exponent_six(self, alpha):
-        psi = QuotientIso(alpha, 6)
+        psi = partial(quotient, alpha=alpha, exp=6)
         for x in range(64):
             assert psi(x) == psi(x ^ alpha)
             for y in range(64):
@@ -116,7 +113,7 @@ class TestQuotientIso:
     @pytest.mark.parametrize("exp", [4, 5, 6])
     def test_onto_the_smaller_field(self, exp):
         for alpha in (1, 2**exp - 1):
-            psi = QuotientIso(alpha, exp)
+            psi = partial(quotient, alpha=alpha, exp=exp)
             assert {psi(x) for x in range(2**exp)} == set(range(2 ** (exp - 1)))
 
     def test_zero_sum_transfers_through_the_quotient(self):
@@ -124,7 +121,7 @@ class TestQuotientIso:
         # of its cosets XOR to zero.
         rng = random.Random(20260808)
         for exp, alpha in [(4, 1), (4, 7), (5, 9), (5, 30)]:
-            psi = QuotientIso(alpha, exp)
+            psi = partial(quotient, alpha=alpha, exp=exp)
             points = [x for x in range(1, 2**exp) if x != alpha]
             for _ in range(300):
                 k = rng.randrange(2, 7)
@@ -135,15 +132,58 @@ class TestQuotientIso:
 
     def test_invalid_shift_rejected(self):
         with pytest.raises(InvalidShiftError):
-            QuotientIso(0, 4)
+            quotient(0, 0, 4)
         with pytest.raises(InvalidShiftError):
-            QuotientIso(16, 4)
+            quotient(0, 16, 4)
 
     def test_element_outside_field_rejected(self):
-        psi = QuotientIso(1, 4)
         with pytest.raises(ArgumentError):
-            psi(16)
+            quotient(16, 1, 4)
 
     def test_exponent_bounds(self):
         with pytest.raises(RangeError):
-            QuotientIso(1, 3)
+            quotient(0, 1, 3)
+
+
+def _check_section_points(sec, alpha, exp):
+    # Every nonzero entry avoids the subgroup, the entries meet each coset
+    # of {0, alpha} exactly once, and the quotient map undoes the table.
+    assert len(sec) == 2 ** (exp - 1)
+    assert all(s not in (0, alpha) for s in sec[1:])
+    assert len({min(s, s ^ alpha) for s in sec}) == len(sec)
+    assert all(quotient(s, alpha, exp) == y for y, s in enumerate(sec))
+
+
+class TestSection:
+    @pytest.mark.parametrize("exp", [4, 5, 6])
+    def test_additive_exhaustive(self, exp):
+        for alpha in range(1, 2**exp):
+            sec = section(alpha, exp)
+            for y in range(len(sec)):
+                for z in range(len(sec)):
+                    assert sec[y ^ z] == sec[y] ^ sec[z]
+
+    @pytest.mark.parametrize("exp", [4, 5, 6])
+    def test_one_point_per_coset_and_quotient_inverts(self, exp):
+        for alpha in range(1, 2**exp):
+            _check_section_points(section(alpha, exp), alpha, exp)
+
+    @pytest.mark.parametrize("alpha", [1, 2**16, 2**17 - 1])
+    def test_top_ambient_exponent(self, alpha):
+        sec = section(alpha, 17)
+        # Additive: the image of 0 is 0 and every entry is the XOR of the
+        # entry without its lowest set bit and the entry of that bit, which
+        # makes each entry the XOR of the images of its bits.
+        assert sec[0] == 0
+        assert all(sec[y] == sec[y & (y - 1)] ^ sec[y & -y] for y in range(1, len(sec)))
+        _check_section_points(sec, alpha, 17)
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(InvalidShiftError):
+            section(0, 4)
+        with pytest.raises(InvalidShiftError):
+            section(16, 4)
+        with pytest.raises(RangeError):
+            section(1, 3)
+        with pytest.raises(RangeError):
+            section(1, 18)

@@ -9,7 +9,6 @@ import pytest
 from design_forge.errors import ConsistencyError, RangeError
 from design_forge.params import (
     balance_parameters,
-    balance_step,
     closed_form_balance,
     closed_form_gdd_balance,
     closed_forms,
@@ -19,6 +18,7 @@ from design_forge.params import (
     reference_gdd_balance,
     replication_numbers,
 )
+from design_forge.witness import balance_step
 
 
 class TestWeightCounts:
