@@ -42,23 +42,16 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .field import (
-    Coset,
-    cosets_of,
-    nonzero_elements,
-)
+from .field import cosets_of, nonzero_elements
 from .params import (
     ParamRow,
     ParamTable,
-    balance_parameters,
     closed_form_balance,
     closed_form_gdd_balance,
     closed_forms,
-    gdd_balance_parameters,
     hamming_weight_counts,
     param_table,
     reference_gdd_balance,
-    replication_numbers,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +63,6 @@ __all__ = [
     "BudgetExceededError",
     "ConsistencyError",
     "ContainmentError",
-    "Coset",
     "DEFAULT_NODE_BUDGET",
     "DesignForgeError",
     "DesignReport",
@@ -83,13 +75,11 @@ __all__ = [
     "RangeError",
     "ShapeError",
     "StateError",
-    "balance_parameters",
     "closed_form_balance",
     "closed_form_gdd_balance",
     "closed_forms",
     "cosets_of",
     "family_predicate",
-    "gdd_balance_parameters",
     "gdd_blocks",
     "gdd_groups",
     "hamming_weight_counts",
@@ -97,7 +87,6 @@ __all__ = [
     "observed_params",
     "param_table",
     "reference_gdd_balance",
-    "replication_numbers",
     "shift_invariant_blocks",
     "sum_to_shift_blocks",
     "sum_to_zero_blocks",

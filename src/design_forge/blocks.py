@@ -5,10 +5,8 @@ are enumerated exhaustively by depth-first search over ascending bitmasks,
 carrying the running XOR of the chosen prefix; the final slot is filled by
 direct lookup, since the last element is forced by the target sum. Every
 enumerator charges search nodes against an explicit budget and raises
-BudgetExceededError rather than truncating silently.
-
-The search space splits cleanly by first element, so shards could run
-concurrently and be sort-merged; everything here is pure and immutable.
+BudgetExceededError rather than truncating silently. Everything here is
+pure and immutable.
 """
 
 from __future__ import annotations
@@ -273,7 +271,7 @@ def shift_invariant_blocks(
     blocks: list[Block] = []
     if k % 2 == 0:
         bud = _Budget(budget, f"shift-invariant blocks (m={m}, k={k}, alpha={alpha})")
-        free = [c.members for c in cosets_of(alpha, m) if c.low != 0]
+        free = cosets_of(alpha, m)[1:]  # all but the subgroup (0, alpha)
         for combo in combinations(free, k // 2):
             bud.spend()
             blocks.append(tuple(sorted(x for pair in combo for x in pair)))
@@ -323,5 +321,5 @@ def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:
     covering the point set."""
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
-    pairs = [c.members for c in cosets_of(alpha, ambient_exp) if c.low != 0]
+    pairs = cosets_of(alpha, ambient_exp)[1:]
     return BlockFamily("U", ambient_exp, 2, tuple(pairs), alpha=alpha)

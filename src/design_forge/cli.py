@@ -50,8 +50,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130
 
-BUDGET_ENV_VAR = "DESIGN_FORGE_BUDGET"
-
 _USAGE_ERRORS = (
     ArgumentError,
     ContainmentError,
@@ -88,19 +86,9 @@ def _single(text: str, flag: str) -> int:
 
 
 def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        budget = args.budget
-    elif BUDGET_ENV_VAR in os.environ:
-        raw = os.environ[BUDGET_ENV_VAR]
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ArgumentError(f"{BUDGET_ENV_VAR} must be an int, got {raw!r}") from None
-    else:
-        budget = blocks.DEFAULT_NODE_BUDGET
-    if budget <= 0:
-        raise ArgumentError(f"budget must be positive, got {budget}")
-    return budget
+    if args.budget <= 0:
+        raise ArgumentError(f"budget must be positive, got {args.budget}")
+    return args.budget
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -433,7 +421,7 @@ def _add_common(sub, *, k_flag=True, alpha=False, budget=True, out=True):
     if alpha:
         sub.add_argument("--alpha", type=int, help="coset-defining shift")
     if budget:
-        sub.add_argument("--budget", type=int, help=f"enumeration node budget (default {blocks.DEFAULT_NODE_BUDGET}; env {BUDGET_ENV_VAR} overrides)")
+        sub.add_argument("--budget", type=int, default=blocks.DEFAULT_NODE_BUDGET, help="enumeration node budget (default %(default)s)")
     if out:
         sub.add_argument("--out", help="write output to this file instead of stdout")
 

@@ -9,8 +9,6 @@ additive choice of one point per coset that lifts GF(2^(m-1)) back up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidShiftError, RangeError
 
 MIN_EXPONENT = 3
@@ -36,31 +34,16 @@ def nonzero_elements(m: int) -> range:
     return range(1, 1 << m)
 
 
-@dataclass(frozen=True, order=True)
-class Coset:
-    """The coset {low, low + alpha} of the subgroup {0, alpha}.
+def cosets_of(alpha: int, m: int) -> list[tuple[int, int]]:
+    """Partition GF(2^m) into the 2^(m-1) cosets {low, low + alpha} of {0, alpha}.
 
-    `low` is the smaller member as an unsigned integer, so equality and
-    ordering of cosets are equality and ordering of (low, alpha) pairs.
-    """
-
-    low: int
-    alpha: int
-
-    @property
-    def members(self) -> tuple[int, int]:
-        return (self.low, self.low ^ self.alpha)
-
-
-def cosets_of(alpha: int, m: int) -> list[Coset]:
-    """Partition GF(2^m) into the 2^(m-1) cosets of {0, alpha}.
-
-    Returned in ascending order of the smaller member; the subgroup
-    {0, alpha} itself is the first entry.
+    Each coset is the pair (low, low ^ alpha) with low the smaller member,
+    in ascending order of low; the subgroup (0, alpha) itself is the first
+    entry.
     """
     check_exponent(m, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, m)
-    return [Coset(x, alpha) for x in range(1 << m) if x < (x ^ alpha)]
+    return [(x, x ^ alpha) for x in range(1 << m) if x < (x ^ alpha)]
 
 
 def section(alpha: int, exp: int) -> tuple[int, ...]:

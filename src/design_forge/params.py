@@ -2,20 +2,20 @@
 
 Everything in this module is computed without enumerating a single block:
 block counts come from the weight-distribution recursion of the length
-2^m - 1 Hamming code, per-point counts and pair-coverage counts from their
-own recurrences, and the lifted (grouped) coverage counts both from a
-dedicated recurrence and from the scaling identity, which are asserted
-equal.
+2^m - 1 Hamming code; per-point counts, pair-coverage counts and the
+lifted (grouped) coverage counts are stepped together in one pass over k
+by `param_table`, and the lifted counts are asserted equal to their
+second route, the scaling identity.
 
-All values are plain Python ints, so nothing overflows. Every division is
-preceded by an exact-remainder check; a nonzero remainder can only come
-from a transcription bug and raises ConsistencyError.
+All values are plain Python ints, so nothing overflows. Every division of
+a recurrence is preceded by an exact-remainder check; a nonzero remainder
+can only come from a transcription bug and raises ConsistencyError. The
+binomials carried from one step to the next divide exactly by identity.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 from .errors import ConsistencyError, RangeError
 from .field import check_exponent
@@ -35,7 +35,8 @@ def hamming_weight_counts(m: int, k_max: int) -> list[int]:
 
         (k+1) b_{k+1} + b_k + (v-k+1) b_{k-1} = C(v, k),   b_0 = 1,
 
-    which forces b_1 = b_2 = 0 and stays exact at every step.
+    which forces b_1 = b_2 = 0 and stays exact at every step. C(v, k) is
+    carried from one step to the next.
     """
     check_exponent(m)
     v = (1 << m) - 1
@@ -44,102 +45,13 @@ def hamming_weight_counts(m: int, k_max: int) -> list[int]:
     b = [0] * (k_max + 1)
     b[0] = 1
     prev = 0  # b_{k-1}
+    c = 1  # C(v, k)
     for k in range(k_max):
-        rhs = comb(v, k) - b[k] - (v - k + 1) * prev
+        rhs = c - b[k] - (v - k + 1) * prev
         b[k + 1] = _exact_div(rhs, k + 1, "weight-count recursion")
         prev = b[k]
+        c = c * (v - k) // (k + 1)
     return b
-
-
-def replication_numbers(m: int) -> dict[int, int]:
-    """Per-point block counts r_k of the zero-sum designs, k = 2 .. 2^m - 3.
-
-    Seeded by r_2 = 0 and r_3 = (2^m - 2) / 2, then stepped by
-
-        r_{k+1} = b_k - r_k  [ + C(2^(m-1)-1, k/2) if k = 2 (mod 4),
-                               - C(2^(m-1)-1, k/2) if k = 0 (mod 4) ].
-
-    The top row k = 2^m - 3 is pinned to zero by definition (that family
-    is empty); the recurrence reproduces the same zero, which the test
-    suite checks.
-    """
-    check_exponent(m)
-    top = (1 << m) - 3
-    b = hamming_weight_counts(m, top)
-    r = {2: 0, 3: ((1 << m) - 2) // 2}
-    half = (1 << (m - 1)) - 1
-    for k in range(3, top - 1):
-        nxt = b[k] - r[k]
-        if k % 4 == 2:
-            nxt += comb(half, k // 2)
-        elif k % 4 == 0:
-            nxt -= comb(half, k // 2)
-        r[k + 1] = nxt
-    r[top] = 0
-    return r
-
-
-def balance_parameters(m: int) -> dict[int, int]:
-    """Pair-coverage counts lambda_k of the zero-sum designs, k = 2 .. 2^m - 3.
-
-    lambda_2 = 0, lambda_3 = 1 (the pair {i, j} lies in exactly one
-    3-subset, {i, j, i+j}), then the three-case step
-
-        lambda_{k+1} = (2^m - k - 1) / (k - 1) * lambda_k
-                       [ +/- C(2^(m-1)-2, k/2 - 1) for even k ].
-
-    The rational factor always divides evenly; this is asserted. The top
-    row k = 2^m - 3 is pinned to zero.
-    """
-    check_exponent(m)
-    top = (1 << m) - 3
-    size = 1 << m
-    lam = {2: 0, 3: 1}
-    for k in range(3, top - 1):
-        base = _exact_div((size - k - 1) * lam[k], k - 1, "balance recurrence")
-        if k % 4 == 2:
-            base += comb((1 << (m - 1)) - 2, k // 2 - 1)
-        elif k % 4 == 0:
-            base -= comb((1 << (m - 1)) - 2, k // 2 - 1)
-        lam[k + 1] = base
-    lam[top] = 0
-    return lam
-
-
-def gdd_balance_parameters(m: int) -> dict[int, int]:
-    """Cross-group coverage counts lambda'_k of the lifted designs in GF(2^(m+1)).
-
-    Computed along two independent routes and asserted equal entry by
-    entry: the dedicated recurrence
-
-        lambda'_{k+1} = (2^(m+1) - 2k - 2) / (k - 1) * lambda'_k
-                        [ +/- 2^(k-2) C(2^(m-1)-2, k/2 - 1) for even k ]
-
-    seeded by lambda'_3 = 1, and the scaling identity
-    lambda'_k = 2^(k-3) * lambda_k.
-    """
-    check_exponent(m)
-    top = (1 << m) - 3
-    lam = balance_parameters(m)
-    q = 1 << (m + 1)
-    lp = {2: 0, 3: 1}
-    for k in range(3, top - 1):
-        base = _exact_div((q - 2 * k - 2) * lp[k], k - 1, "lifted balance recurrence")
-        corr = (1 << (k - 2)) * comb((1 << (m - 1)) - 2, k // 2 - 1)
-        if k % 4 == 2:
-            base += corr
-        elif k % 4 == 0:
-            base -= corr
-        lp[k + 1] = base
-    lp[top] = 0
-    for k in range(3, top + 1):
-        scaled = (1 << (k - 3)) * lam[k]
-        if scaled != lp[k]:
-            raise ConsistencyError(
-                f"lifted balance routes disagree at k={k}: "
-                f"recurrence {lp[k]}, scaled {scaled}"
-            )
-    return lp
 
 
 def _check_closed_form_range(m: int, k: int) -> None:
@@ -233,11 +145,69 @@ class ParamTable:
 
 
 def param_table(m: int) -> ParamTable:
-    """Assemble the full table for GF(2^m) without any enumeration."""
-    top = (1 << m) - 3
+    """Assemble the full table for GF(2^m) without any enumeration.
+
+    b_k comes from `hamming_weight_counts`. The other three columns are
+    stepped together, from r_3 = (2^m - 2) / 2 and lambda_3 = lambda'_3 = 1
+    (the pair {i, j} lies in exactly one 3-subset, {i, j, i+j}):
+
+        r_{k+1}       = b_k - r_k + s C(h, k/2)
+        lambda_{k+1}  = (2^m - k - 1) / (k - 1) * lambda_k + s C(h-1, k/2 - 1)
+        lambda'_{k+1} = (2^(m+1) - 2k - 2) / (k - 1) * lambda'_k
+                        + s 2^(k-2) C(h-1, k/2 - 1)
+
+    with h = 2^(m-1) - 1 and one sign s: +1 at k = 2 (mod 4), -1 at
+    k = 0 (mod 4), 0 at odd k. Both binomials are carried from one even k
+    to the next. The rational factors always divide evenly; this is
+    asserted. lambda'_k is the lifted (grouped) coverage in GF(2^(m+1)),
+    and every row is asserted equal to its second route, the scaling
+    identity lambda'_k = 2^(k-3) * lambda_k. Row k = 2 is zero, and the
+    top row k = 2^m - 3 is pinned to zero by definition (those families
+    are empty); the r step reproduces the same zero, which the test suite
+    checks.
+    """
+    check_exponent(m)
+    size = 1 << m
+    top = size - 3
     b = hamming_weight_counts(m, top)
-    r = replication_numbers(m)
-    lam = balance_parameters(m)
-    lp = gdd_balance_parameters(m)
-    rows = {k: ParamRow(b[k], r[k], lam[k], lp[k]) for k in range(2, top + 1)}
+    h = (1 << (m - 1)) - 1
+    rows = {2: ParamRow(b[2], 0, 0, 0)}
+    r, lam, lp = h, 1, 1  # the k = 3 row; r_3 = (2^m - 2) / 2 = h
+    c_h = h  # C(h, k // 2)
+    for k in range(3, top - 1):
+        rows[k] = ParamRow(b[k], r, lam, lp)
+        r = b[k] - r
+        lam = _exact_div((size - k - 1) * lam, k - 1, "balance recurrence")
+        lp = _exact_div((2 * size - 2 * k - 2) * lp, k - 1, "lifted balance recurrence")
+        if k % 2 == 0:
+            half = k // 2
+            c_h = c_h * (h - half + 1) // half
+            c_h1 = c_h * half // h  # C(h - 1, k/2 - 1)
+            s = 1 if k % 4 == 2 else -1
+            r += s * c_h
+            lam += s * c_h1
+            lp += s * (c_h1 << (k - 2))
+        if lp != lam << (k - 2):
+            raise ConsistencyError(
+                f"lifted balance routes disagree at k={k + 1}: "
+                f"recurrence {lp}, scaled {lam << (k - 2)}"
+            )
+    rows[top - 1] = ParamRow(b[top - 1], r, lam, lp)
+    rows[top] = ParamRow(b[top], 0, 0, 0)  # pinned
     return ParamTable(m, rows)
+
+
+# Column views of param_table, kept because perfbench/traced.py wraps these names.
+def replication_numbers(m: int) -> dict[int, int]:
+    """Per-point block counts r_k, k = 2 .. 2^m - 3."""
+    return {k: row.replication for k, row in param_table(m).rows.items()}
+
+
+def balance_parameters(m: int) -> dict[int, int]:
+    """Pair-coverage counts lambda_k, k = 2 .. 2^m - 3."""
+    return {k: row.balance for k, row in param_table(m).rows.items()}
+
+
+def gdd_balance_parameters(m: int) -> dict[int, int]:
+    """Cross-group coverage counts lambda'_k of the lifted designs, k = 2 .. 2^m - 3."""
+    return {k: row.gdd_balance for k, row in param_table(m).rows.items()}

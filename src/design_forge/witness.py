@@ -22,7 +22,6 @@ from .errors import (
 from .field import (
     MAX_AMBIENT_EXPONENT,
     MIN_EXPONENT,
-    Coset,
     check_exponent,
     check_shift,
     cosets_of,
@@ -43,9 +42,10 @@ def as_block(elements) -> Block:
     return b
 
 
-def coset_of(x: int, alpha: int) -> Coset:
-    """The coset of {0, alpha} containing x."""
-    return Coset(min(x, x ^ alpha), alpha)
+def coset_of(x: int, alpha: int) -> tuple[int, int]:
+    """The coset of {0, alpha} containing x, as `field.cosets_of` lists it."""
+    low = min(x, x ^ alpha)
+    return (low, low ^ alpha)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class CosetOrdering:
 def natural_ordering(alpha: int, m: int) -> CosetOrdering:
     """Rank cosets 1, 2, ... by ascending smaller member. Deterministic."""
     cs = cosets_of(alpha, m)
-    return CosetOrdering(alpha, m, {c.low: i + 1 for i, c in enumerate(cs)})
+    return CosetOrdering(alpha, m, {low: i + 1 for i, (low, _) in enumerate(cs)})
 
 
 def quotient(x: int, alpha: int, exp: int) -> int:
@@ -134,7 +134,9 @@ def replace_point_map(
 
     There is no separate inverse: it is this map with j and ell exchanged,
     which keeps alpha and the ordering and brings the representative back.
+    A block with a repeated point raises FamilyError.
     """
+    block = as_block(block)
     size = 1 << ordering.m
     if len({i, j, ell}) != 3 or not all(0 < x < size for x in (i, j, ell)):
         raise ArgumentError(
@@ -152,7 +154,7 @@ def replace_point_map(
         )
     bs = set(block)
     if ell in bs:
-        return as_block(bs)
+        return block
     core = as_block(bs - {i, j, alpha})
     beta = representative(core, alpha, ordering)
     image = tuple(sorted((bs - {j, beta}) | {ell, beta ^ alpha}))
@@ -171,8 +173,10 @@ def shift_representative(
     Sends a k-subset avoiding {0, alpha} with XOR-sum alpha to one with
     XOR-sum zero over the same ground set. Blocks fixed by the shift have
     no representative and raise NoRepresentativeError; everything else maps
-    injectively, which is what the counting identities rest on.
+    injectively, which is what the counting identities rest on. A block
+    with a repeated point raises FamilyError.
     """
+    block = as_block(block)
     if len(block) != k:
         raise ArgumentError(f"expected a block of size {k}, got {len(block)}")
     if not family_predicate("I", ordering.m, k, alpha=alpha)(block):
@@ -191,9 +195,9 @@ def shift_representative(
 def balance_step(lam_k: int, k: int, m: int) -> int:
     """Single-formula step from lambda_k to lambda_{k+1}.
 
-    Identical to the three-case branch in params.balance_parameters: the
-    sign of the correction term is the exact integer cos(k*pi/2) looked up
-    by k mod 4, and the binomial index floor(k/2 - 1) is (k - 2) // 2.
+    Identical to the lambda step of params.param_table, with its sign s
+    written as the exact integer -cos(k*pi/2), looked up by k mod 4, and
+    the binomial index floor(k/2 - 1) as (k - 2) // 2.
     """
     if k < 2:
         raise RangeError(f"step needs k >= 2, got {k}")

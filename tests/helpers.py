@@ -12,6 +12,7 @@ import subprocess
 import sys
 from functools import reduce
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -61,6 +62,24 @@ def brute_gdd_groups(ambient_exp: int, alpha: int) -> list[tuple[int, ...]]:
     """The pairs {x, x ^ alpha} with x outside {0, alpha}: family U at k = 2."""
     ground = [x for x in range(1, 2**ambient_exp) if x != alpha]
     return sorted({tuple(sorted((x, x ^ alpha))) for x in ground})
+
+
+def hamming_weight_enumerator(m: int) -> list[int]:
+    """Weight distribution of the binary Hamming code of length n = 2^m - 1.
+
+    The closed form A(x) = [(1+x)^n + n(1-x)(1-x^2)^((n-1)/2)] / (n+1)
+    (MacWilliams & Sloane, ch. 6), expanded coefficient by coefficient.
+    """
+    n = 2**m - 1
+    t = (n - 1) // 2
+    out = []
+    for k in range(n + 1):
+        # Coefficient of x^k in (1-x)(1-x^2)^t; the -x factor flips odd k.
+        tail = (-1) ** (k // 2 + k % 2) * comb(t, k // 2)
+        count, rem = divmod(comb(n, k) + n * tail, n + 1)
+        assert rem == 0, (m, k)
+        out.append(count)
+    return out
 
 
 def pair_coverage(points, blocks) -> dict[tuple[int, int], int]:

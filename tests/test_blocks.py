@@ -327,6 +327,11 @@ class TestReplacePointMap:
         with pytest.raises(ArgumentError):
             replace_point_map((1, 2, 3), 1, 2, 2, o)  # ell duplicates j
 
+    def test_repeated_point_is_a_family_error(self):
+        o = natural_ordering(6, 3)
+        with pytest.raises(FamilyError, match="duplicate element 1 in block"):
+            replace_point_map((1, 1, 2, 2), 1, 2, 4, o)
+
     def test_sampled_triples_either_biject_or_report(self):
         rng = random.Random(1726)
         outcomes = {"clean": 0, "reported": 0}
@@ -384,6 +389,11 @@ class TestShiftRepresentative:
             shift_representative((1, 2, 3), 1, 3, o)  # contains the shift itself
         with pytest.raises(ArgumentError):
             shift_representative((2, 4, 6), 1, 4, o)  # size mismatch
+
+    def test_repeated_point_is_a_family_error(self):
+        o = natural_ordering(4, 3)
+        with pytest.raises(FamilyError, match="duplicate element 1 in block"):
+            shift_representative((1, 1, 2, 6), 4, 4, o)
 
 
 class TestFamilyPlumbing:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
@@ -47,24 +48,11 @@ class TestEnumerate:
         proc = run_cli(["enumerate", "--m", "4", "--k", "5", "--budget", "10"])
         assert proc.returncode == 3
 
-    def test_budget_env_var_exits_3(self):
-        proc = run_cli(
-            ["enumerate", "--m", "4", "--k", "5"],
-            env_extra={"DESIGN_FORGE_BUDGET": "10"},
-        )
-        assert proc.returncode == 3
-
-    def test_flag_overrides_env_var(self):
-        proc = run_cli(
-            ["enumerate", "--m", "3", "--k", "3"],
-            env_extra={"DESIGN_FORGE_BUDGET": "1"},
-        )
-        assert proc.returncode == 3
-        proc = run_cli(
-            ["enumerate", "--m", "3", "--k", "3", "--budget", "1000000"],
-            env_extra={"DESIGN_FORGE_BUDGET": "1"},
-        )
-        assert proc.returncode == 0
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_exits_2(self, budget):
+        proc = run_cli(["enumerate", "--m", "3", "--k", "3", "--budget", budget])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
 
     def test_budget_failure_leaves_no_partial_file(self, tmp_path):
         target = tmp_path / "w.jsonl"
@@ -93,7 +81,29 @@ class TestEnumerate:
         assert proc.returncode == 2
 
 
+# SHA-256 of `params --m m` stdout. The table holds exact integers only,
+# so any change to its bytes is a change of behaviour.
+PARAMS_DIGESTS = {
+    3: "c0cda6858b7a910b7b7ff5a549feaa165cffee54510f4120d25d706f92b9b20a",
+    4: "cee5c740ae2f1bb8deb455034bd31ad2165f824d749ef7e41f4ae6002d35ed67",
+    5: "f97c5255754bb75eeec58e79f5bfa4ab7fb2af34f9a5e215d7271838f86d5db3",
+    6: "325ae23faa4a993a950650e10148f5f0856753ba6eeb01a5ccefb754911cf76f",
+    7: "47b4572625052d4936974865c0d6f2034980ff30897a28c023cfafe912b134d5",
+    8: "84949f23128e2c981c3fc62e509a93cbcf29b886777158cdd41b190f4ffeb892",
+    9: "405afd142efa26e49135e55ab6d44577b2b5126ed14a5560a6d2249f1983a0df",
+    10: "fede7448685b920e072c1b143bac2223b39f90cf008f3e0022e15b1db448e22b",
+    11: "59df787821039447e88c58e12fc38b4b902c7e126cd311ed8ea6c5e3e486c992",
+    12: "21133e8b664ec04ef2ee9b472f0832333587da8fdc321ed79c7acc0b954678ab",
+}
+
+
 class TestParams:
+    @pytest.mark.parametrize("m", sorted(PARAMS_DIGESTS))
+    def test_golden_table_digest(self, m):
+        proc = run_cli(["params", "--m", str(m)])
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == PARAMS_DIGESTS[m]
+
     def test_m4_table_cells(self):
         proc = run_cli(["params", "--m", "4"])
         assert proc.returncode == 0

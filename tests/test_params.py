@@ -19,6 +19,7 @@ from design_forge.params import (
     replication_numbers,
 )
 from design_forge.witness import balance_step
+from helpers import hamming_weight_enumerator
 
 
 class TestWeightCounts:
@@ -50,6 +51,10 @@ class TestWeightCounts:
     def test_every_design_size_is_nonempty(self, m):
         b = hamming_weight_counts(m, 2**m - 1)
         assert all(b[k] > 0 for k in range(3, 2**m - 3))
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_matches_the_closed_form_enumerator(self, m):
+        assert hamming_weight_counts(m, 2**m - 1) == hamming_weight_enumerator(m)
 
     def test_k_max_out_of_range(self):
         with pytest.raises(RangeError):
