@@ -1,21 +1,28 @@
 """Block-family enumeration over GF(2^m).
 
 A block is a strictly increasing tuple of field elements (ints). Families
-are enumerated exhaustively by depth-first search over ascending bitmasks,
-carrying the running XOR of the chosen prefix; the final slot is filled by
-direct lookup, since the last element is forced by the target sum. Every
-enumerator charges search nodes against an explicit budget and raises
-BudgetExceededError rather than truncating silently. Everything here is
-pure and immutable.
+are enumerated exhaustively: every prefix of k - 1 ground points in
+lexicographic order, the last slot filled by direct lookup, since the last
+element is forced by the target sum. Every enumerator charges its search
+nodes against an explicit budget, in closed form before it searches, and
+raises BudgetExceededError rather than truncating silently.
+
+A family's membership rule is checked lane-packed: a chunk of blocks
+becomes k column ints with one lane per block, and each fact of the rule
+is a few big-int operations over every lane at once (see `_Rule`).
+Everything here is pure and immutable.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
-from operator import ge, xor
+from itertools import chain, combinations, product
+from math import comb
+from operator import and_, ge, or_, xor
 from typing import Callable, Iterator
 
 from .errors import (
@@ -40,6 +47,174 @@ DEFAULT_NODE_BUDGET = 100_000_000
 
 FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
 
+# Blocks per lane-packed check. A check's scratch memory is a few bytes
+# per point of one chunk, however large the family.
+_CHUNK = 65_536
+# L and U test their set condition on columns, C(k, 2) big-int operations,
+# while that is at most this many per point of the chunk; past it, on each
+# block's set, which costs one step per point.
+_PAIR_TESTS_PER_POINT = 1
+
+
+def _ones(lanes: int, width: int) -> int:
+    """An int with bit 0 of each of `lanes` lanes of `width` bits set."""
+    return ((1 << lanes * width) - 1) // ((1 << width) - 1)
+
+
+def _nonzero(x: int, low: int, guard: int) -> int:
+    """The guard bit of every lane of x that is not zero.
+
+    Adding the low bits carries into a lane's guard bit iff its low bits
+    are not all zero, and no carry leaves a lane (Warren, Hacker's
+    Delight, ch. 6).
+    """
+    return ((x & low) + low | x) & guard
+
+
+def _first_lane(mask: int, width: int) -> int | None:
+    return ((mask & -mask).bit_length() - 1) // width if mask else None
+
+
+class _Rule:
+    """The membership rule of one family, checked on lane-packed blocks.
+
+    n blocks of k points pack into k column ints, column j holding point
+    j of block i in lane i, and one flat int with one lane per point.
+    Lanes are a byte while 2^m <= 128, else 32 bits; the top bit of each
+    lane is its guard, clear in every allowed point. Each fact is a few
+    big-int operations over all lanes, and its failing lanes are a mask
+    of guard bits:
+      points   a lane of the flat int with a bit m and up set, or zero,
+               or (I, J, U) equal to alpha
+      XOR-sum  a nonzero lane of the columns' XOR with the target
+      order    the guard of (column j-1 | guard) - (column j & low), set
+               where point j-1 >= point j; no borrow leaves a lane
+      Wpair    a lane where no column equals i, or none equals j
+      L, U     a zero lane of column i ^ column j ^ alpha for i < j: U
+               fails on any, L where some column meets none
+    The order test is exact in lanes whose points are in range, and any
+    other lane fails the points test, so the failing lanes are exact.
+    The pair tests of L and U cost C(k, 2) column operations however few
+    the blocks, so a chunk with fewer points than that (one block of
+    k >= 4, say) tests each block's set against its shift instead.
+    """
+
+    __slots__ = ("kind", "m", "k", "alpha", "target", "pair", "shifted", "width", "masks")
+
+    def __init__(self, kind: str, m: int, k: int, alpha: int | None, pair):
+        if kind in ("I", "J", "L", "U"):
+            if alpha is None:
+                raise ArgumentError(f"family {kind!r} needs a shift alpha")
+            check_shift(alpha, m)
+        if kind == "Wpair":
+            if pair is None:
+                raise ArgumentError("family 'Wpair' needs its required pair")
+            i, j = pair
+            # A pair point out of range is in no allowed block, nor is 0.
+            pair = tuple(x if 0 < x < 1 << m else 0 for x in (i, j))
+        elif kind not in FAMILY_KINDS:
+            raise ArgumentError(f"unknown family kind {kind!r}")
+        check_exponent(m, lo=1, hi=31)  # a 32-bit lane and its guard bit
+        self.kind, self.m, self.k, self.alpha = kind, m, k, alpha
+        self.target = {"W": 0, "Wpair": 0, "J": 0, "I": alpha, "U": alpha}.get(kind)
+        self.pair = pair if kind == "Wpair" else ()
+        self.shifted = kind == "L" or (kind == "U" and k != 2)
+        self.width = 8 if m < 8 else 32
+        self.masks: dict[int, tuple] = {}
+
+    def pack(self, points):
+        """The points as lanes, or None if one is not an int that fits one."""
+        try:
+            if self.width == 8:
+                return bytes(points)
+            lanes = array("I", points)
+        except (ValueError, OverflowError, TypeError):
+            return None
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+
+    def _masks(self, n: int) -> tuple:
+        """Lane constants for n blocks: guard and low bits of the block
+        lanes, then target, alpha and pair points in every lane; guard and
+        low bits of the point lanes, then the bits m and up and alpha in
+        every lane (0 where alpha is allowed)."""
+        w, alpha = self.width, self.alpha or 0
+        ones, flat_ones = _ones(n, w), _ones(n * self.k, w)
+        guard, flat_guard = ones << (w - 1), flat_ones << (w - 1)
+        masks = self.masks[n] = (
+            (guard, guard - ones, ones * (self.target or 0), ones * alpha,
+             [ones * x for x in self.pair]),
+            (flat_guard, flat_guard - flat_ones, flat_ones * ((1 << w) - (1 << self.m)),
+             flat_ones * alpha if self.kind in ("I", "J", "U") else 0),
+        )
+        return masks
+
+    def bad_points(self, packed, n: int) -> int:
+        """The guard bits of the lanes of n packed blocks' points that lie
+        outside the allowed set; the lanes are in point order."""
+        flat_guard, flat_low, high, flat_alpha = (self.masks.get(n) or self._masks(n))[1]
+        flat = int.from_bytes(packed, "little")
+        ok = _nonzero(flat, flat_low, flat_guard)
+        if flat_alpha:
+            ok &= _nonzero(flat ^ flat_alpha, flat_low, flat_guard)
+        return flat & high | ok ^ flat_guard
+
+    def bad_blocks(self, cols: list[int], items, ordered: bool) -> int:
+        """The guard bits of the lanes of `items`, packed into columns, that
+        fail the XOR-sum, the set condition or, with `ordered`, the order."""
+        n, k = len(items), self.k
+        guard, low, target, alpha, pair = (self.masks.get(n) or self._masks(n))[0]
+        bad = 0
+        if ordered:
+            for a, b in zip(cols, cols[1:]):
+                bad |= (a | guard) - (b & low)
+            bad &= guard
+        if self.target is not None:
+            bad |= _nonzero(reduce(xor, cols, target), low, guard)
+        for x in pair:
+            missing = guard
+            for c in cols:
+                missing &= _nonzero(c ^ x, low, guard)
+            bad |= missing
+        if not self.shifted:
+            return bad
+        if k * (k - 1) <= 2 * _PAIR_TESTS_PER_POINT * n * k:
+            apart = [guard] * k  # lanes where column i is no shift of another
+            for i, j in combinations(range(k), 2):
+                e = _nonzero(cols[i] ^ cols[j] ^ alpha, low, guard)
+                apart[i] &= e
+                apart[j] &= e
+            if self.kind == "L":
+                return bad | reduce(or_, apart, 0)
+            return bad | guard ^ reduce(and_, apart, guard)
+        test = set.issuperset if self.kind == "L" else set.isdisjoint
+        shift = self.alpha.__xor__
+        for i, b in enumerate(items):
+            if not test(set(b), map(shift, b)):
+                return bad | 1 << (i * self.width + self.width - 1)
+        return bad
+
+    def first_bad(self, items) -> int | None:
+        """The index of the first of `items` that is not a strictly
+        increasing member, or None."""
+        if not items:
+            return None
+        k, w = self.k, self.width
+        packed = self.pack(chain.from_iterable(items))
+        if packed is None or set(map(len, items)) != {k}:
+            # Some item has another size or a point that fits no lane: it
+            # fails, so the answer is it or an earlier failure.
+            bad = next(j for j, b in enumerate(items) if len(b) != k or self.pack(b) is None)
+            head = self.first_bad(items[:bad])
+            return bad if head is None else head
+        cols = [int.from_bytes(packed[j::k], "little") for j in range(k)]
+        firsts = (
+            _first_lane(self.bad_blocks(cols, items, True), w),
+            _first_lane(self.bad_points(packed, len(items)), w * k),
+        )
+        return min((i for i in firsts if i is not None), default=None)
+
 
 def family_predicate(
     kind: str,
@@ -62,40 +237,20 @@ def family_predicate(
                       each coset {x, x + alpha} at most once; not at
                       k = 2, where U (the groups) is I at k = 2: the
                       pairs {x, x + alpha}
-    The allowed set, and the shift table the L and U conditions read, have
-    2^m entries and are built once per call.
+    The test is `BlockFamily`'s lane-packed check on a one-block pack,
+    without the order test: it takes the points in any order, and a
+    repeated point counts once in the set condition.
     """
-    size = 1 << m
-    if kind in ("I", "J", "L", "U"):
-        if alpha is None:
-            raise ArgumentError(f"family {kind!r} needs a shift alpha")
-        check_shift(alpha, m)
-    if kind == "Wpair":
-        if pair is None:
-            raise ArgumentError("family 'Wpair' needs its required pair")
-    elif kind not in FAMILY_KINDS:
-        raise ArgumentError(f"unknown family kind {kind!r}")
-
-    allowed = set(range(1, size))
-    if kind in ("I", "J", "U"):
-        allowed.discard(alpha)
-    target = {"W": 0, "Wpair": 0, "J": 0, "I": alpha, "U": alpha}.get(kind)
-    condition = None
-    if kind == "Wpair":
-        i, j = pair
-        condition = lambda b: i in b and j in b
-    elif kind == "L" or (kind == "U" and k != 2):
-        # Read only after the allowed check, so every index is below size.
-        shift = [x ^ alpha for x in range(size)].__getitem__
-        test = set.issuperset if kind == "L" else set.isdisjoint
-        condition = lambda b: test(set(b), map(shift, b))
+    rule = _Rule(kind, m, k, alpha, pair)
 
     def pred(b: Block) -> bool:
+        if len(b) != k:
+            return False
+        packed = rule.pack(b)
         return (
-            len(b) == k
-            and allowed.issuperset(b)
-            and (target is None or reduce(xor, b, 0) == target)
-            and (condition is None or condition(b))
+            packed is not None
+            and not rule.bad_points(packed, 1)
+            and not rule.bad_blocks(list(packed), (b,), False)
         )
 
     return pred
@@ -105,8 +260,12 @@ def family_predicate(
 class BlockFamily:
     """An enumerated family together with its defining parameters.
 
-    Construction re-checks every member against the family predicate, so a
-    BlockFamily in hand is always internally consistent. Blocks are kept
+    Construction re-checks every member against the family's rule, so a
+    BlockFamily in hand is always internally consistent. The check runs
+    lane-packed over chunks of 65,536 blocks, so its scratch memory does
+    not grow with the family: the first failing lane names the first bad
+    block, which raises FamilyError saying it is not strictly increasing
+    or, failing that, that it violates the predicate. Blocks are kept
     sorted lexicographically; membership tests are binary searches.
     """
 
@@ -118,11 +277,14 @@ class BlockFamily:
     pair: tuple[int, int] | None = None
 
     def __post_init__(self):
-        pred = family_predicate(self.kind, self.m, self.k, self.alpha, self.pair)
-        for b in self.blocks:
-            if any(map(ge, b, b[1:])):
-                raise FamilyError(f"block {b} is not strictly increasing")
-            if not pred(b):
+        rule = _Rule(self.kind, self.m, self.k, self.alpha, self.pair)
+        for start in range(0, len(self.blocks), _CHUNK):
+            chunk = self.blocks[start : start + _CHUNK]
+            bad = rule.first_bad(chunk)
+            if bad is not None:
+                b = chunk[bad]
+                if any(map(ge, b, b[1:])):
+                    raise FamilyError(f"block {b} is not strictly increasing")
                 raise FamilyError(f"block {b} violates the {self.kind} predicate")
 
     def __len__(self) -> int:
@@ -163,38 +325,29 @@ def _xor_subsets(
 ) -> list[Block]:
     """All strictly increasing k-tuples over `ground` whose XOR equals `target`.
 
-    `ground` must be sorted ascending with no duplicates. Output is in
-    lexicographic order.
+    `ground` must be sorted ascending with no duplicates and hold at least
+    k points. Output is in lexicographic order.
 
-    Depth-first search with the prefix XOR as state; a prefix dies when too
-    few candidates remain. The final slot is a lookup, not a scan: the
-    missing element is forced to be target ^ prefix-XOR. One budget node is
-    charged per placed element, the forced slot included.
+    The search visits every prefix of k - 1 ground points in lexicographic
+    order, the leaves of a depth-first search over ascending indices, and
+    looks up the last point, which the target sum forces. It charges one
+    node per placed point and one per lookup: with n ground points, the
+    prefixes of length d that leave room for the rest number
+    C(n - k + d, d), which sum over d = 1..k-1 to C(n, k - 1) - 1 (the
+    hockey-stick identity), and the lookups number C(n - 1, k - 1). The
+    whole charge is made before the search, so a search over budget
+    fails before it allocates anything.
     """
     if k <= 0:
         raise ArgumentError(f"subset size must be positive, got {k}")
-    gset = set(ground)
     n = len(ground)
+    budget.spend(comb(n, k - 1) - 1 + comb(n - 1, k - 1))
+    gset = set(ground)
     out: list[Block] = []
-    chosen: list[int] = []
-    spend = budget.spend
-
-    def walk(lo: int, acc: int) -> None:
-        slots = k - len(chosen)
-        if slots == 1:
-            spend()
-            need = acc ^ target
-            if need in gset and (not chosen or need > chosen[-1]):
-                out.append((*chosen, need))
-            return
-        for idx in range(lo, n - slots + 1):
-            x = ground[idx]
-            spend()
-            chosen.append(x)
-            walk(idx + 1, acc ^ x)
-            chosen.pop()
-
-    walk(0, 0)
+    for head in combinations(ground[:-1], k - 1):
+        need = reduce(xor, head, target)
+        if need in gset and (not head or need > head[-1]):
+            out.append((*head, need))
     return out
 
 
@@ -208,8 +361,7 @@ def zero_sum_blocks(m: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockF
     check_exponent(m)
     _check_k(k, 3, (1 << m) - 4, f"zero-sum family in GF(2^{m})")
     bud = _Budget(budget, f"zero-sum blocks (m={m}, k={k})")
-    blocks = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)
-    return BlockFamily("W", m, k, tuple(blocks))
+    return BlockFamily("W", m, k, tuple(_xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)))
 
 
 def zero_sum_blocks_containing(
@@ -228,8 +380,8 @@ def zero_sum_blocks_containing(
     bud = _Budget(budget, f"zero-sum blocks through a pair (m={m}, k={k})")
     ground = tuple(x for x in nonzero_elements(m) if x != i and x != j)
     rest = _xor_subsets(ground, k - 2, i ^ j, bud)
-    blocks = sorted(tuple(sorted((*r, i, j))) for r in rest)
-    return BlockFamily("Wpair", m, k, tuple(blocks), pair=(i, j))
+    blocks = tuple(sorted(tuple(sorted((*r, i, j))) for r in rest))
+    return BlockFamily("Wpair", m, k, blocks, pair=(i, j))
 
 
 def sum_to_shift_blocks(
@@ -268,15 +420,14 @@ def shift_invariant_blocks(
     check_exponent(m)
     check_shift(alpha, m)
     _check_k(k, 2, (1 << m) - 2, f"shift-invariant family in GF(2^{m})")
-    blocks: list[Block] = []
+    blocks: tuple[Block, ...] = ()
     if k % 2 == 0:
         bud = _Budget(budget, f"shift-invariant blocks (m={m}, k={k}, alpha={alpha})")
         free = cosets_of(alpha, m)[1:]  # all but the subgroup (0, alpha)
-        for combo in combinations(free, k // 2):
-            bud.spend()
-            blocks.append(tuple(sorted(x for pair in combo for x in pair)))
-        blocks.sort()
-    return BlockFamily("L", m, k, tuple(blocks), alpha=alpha)
+        bud.spend(comb(len(free), k // 2))  # one node per block
+        combos = combinations(free, k // 2)
+        blocks = tuple(sorted(tuple(sorted(chain.from_iterable(c))) for c in combos))
+    return BlockFamily("L", m, k, blocks, alpha=alpha)
 
 
 def gdd_blocks(
@@ -295,7 +446,8 @@ def gdd_blocks(
     number of them by alpha gives the 2^(k-1) blocks over it. Those are
     every choice of one point per coset that XORs to alpha, so the output
     does not depend on which section is used. The budget is charged one
-    node per node of the zero-sum search plus one per lifted block.
+    node per node of the zero-sum search plus one per lifted block, each
+    part before the blocks it counts are built.
     """
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
@@ -303,16 +455,18 @@ def gdd_blocks(
     _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
     lift = section(alpha, ambient_exp)
+    bases = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)
+    bud.spend(len(bases) << (k - 1))
     blocks: list[Block] = []
-    for base in _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud):
-        bud.spend(1 << (k - 1))
+    for base in bases:
         # Choose freely in every coset but the last; the last point is then
         # forced by the target sum, which fixes the parity of the shifts.
         cosets = [(lift[y], lift[y] ^ alpha) for y in base[:-1]]
         for head in product(*cosets):
             blocks.append(tuple(sorted((*head, reduce(xor, head, alpha)))))
     blocks.sort()
-    return BlockFamily("U", ambient_exp, k, tuple(blocks), alpha=alpha)
+    blocks = tuple(blocks)  # the list is freed before the check runs
+    return BlockFamily("U", ambient_exp, k, blocks, alpha=alpha)
 
 
 def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:

@@ -4,10 +4,14 @@
 from __future__ import annotations
 
 import random
+import time
+from functools import cache
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import design_forge.blocks as blocks_module
 from design_forge.blocks import (
     BlockFamily,
     family_predicate,
@@ -101,6 +105,64 @@ class TestZeroSumBlocks:
             BlockFamily("W", 3, 3, ((1, 2, 4),))  # XOR is 7, not 0
         with pytest.raises(FamilyError):
             BlockFamily("W", 3, 3, ((3, 2, 1),))  # not increasing
+
+
+def _search_nodes(n, k):
+    """Nodes of a depth-first search for k ascending points out of n that
+    places the first k - 1 and looks up the last: one per placed point and
+    one per lookup, counted by walking the search."""
+
+    @cache
+    def walk(lo, slots):
+        if slots == 1:
+            return 1
+        return sum(1 + walk(i + 1, slots - 1) for i in range(lo, n - slots + 1))
+
+    return walk(0, k)
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("n", [7, 15, 31, 62])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_closed_form_counts_the_search_nodes(self, n, k):
+        closed = sum(comb(n - k + d, d) for d in range(1, k)) + comb(n - 1, k - 1)
+        assert closed == _search_nodes(n, k)
+
+    @pytest.mark.parametrize(
+        "build,args,n,k",
+        [
+            (zero_sum_blocks, (4, 5), 15, 5),
+            (zero_sum_blocks, (5, 4), 31, 4),
+            (zero_sum_blocks_containing, (5, 5, 3, 9), 29, 3),
+            (sum_to_shift_blocks, (4, 6, 5), 14, 6),
+            (sum_to_shift_blocks, (5, 3, 30), 30, 3),
+            (sum_to_zero_blocks, (5, 4, 7), 30, 4),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_a_budget_of_exactly_the_count_suffices(self, build, args, n, k):
+        nodes = _search_nodes(n, k)
+        assert len(build(*args, budget=nodes)) > 0
+        with pytest.raises(BudgetExceededError) as exc:
+            build(*args, budget=nodes - 1)
+        assert exc.value.budget == nodes - 1
+
+    def test_lifted_family_adds_one_node_per_block(self):
+        nodes = _search_nodes(15, 4) + len(gdd_blocks(5, 4, 9))
+        assert len(gdd_blocks(5, 4, 9, budget=nodes)) == 840
+        with pytest.raises(BudgetExceededError):
+            gdd_blocks(5, 4, 9, budget=nodes - 1)
+
+    def test_shift_invariant_family_charges_one_node_per_block(self):
+        assert len(shift_invariant_blocks(5, 6, 3, budget=comb(15, 3))) == 455
+        with pytest.raises(BudgetExceededError):
+            shift_invariant_blocks(5, 6, 3, budget=comb(15, 3) - 1)
+
+    def test_search_over_budget_fails_before_it_starts(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            zero_sum_blocks(16, 3)  # 4.29e9 nodes
+        assert time.perf_counter() - start < 5
 
 
 class TestZeroSumBlocksContaining:
@@ -517,3 +579,155 @@ class TestPredicateOracles:
         with pytest.raises(FamilyError) as exc:
             BlockFamily(kind, m, k, (block,), alpha=alpha, pair=pair)
         assert str(exc.value) == f"block {block} {message}"
+
+
+@pytest.fixture(params=["columns", "sets"])
+def set_test_form(request, monkeypatch):
+    """Force L's and U's set condition onto one form of the check."""
+    limit = 10**9 if request.param == "columns" else 0
+    monkeypatch.setattr(blocks_module, "_PAIR_TESTS_PER_POINT", limit)
+    return request.param
+
+
+def _planted(fam, faults):
+    """The family's blocks with each (position, block) of `faults` put in."""
+    blocks = list(fam.blocks)
+    for pos, block in faults:
+        blocks[pos] = block
+    return tuple(blocks)
+
+
+def _family_error(fam, blocks):
+    with pytest.raises(FamilyError) as exc:
+        BlockFamily(fam.kind, fam.m, fam.k, blocks, alpha=fam.alpha, pair=fam.pair)
+    return str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def lifted_over_a_chunk():
+    fam = gdd_blocks(6, 5, 1)
+    assert len(fam) > blocks_module._CHUNK + 1
+    return fam
+
+
+# Blocks of the U family at ambient 6, k = 5, alpha = 1 that break one fact
+# each; None stands for the block in place with its first two points swapped.
+_U_FAULTS = [
+    pytest.param(None, "is not strictly increasing", id="order"),
+    pytest.param((2, 4, 8, 16, 32), "violates the U predicate", id="xor"),
+    pytest.param((1, 2, 4, 8, 14), "violates the U predicate", id="alpha-point"),
+    pytest.param((2, 3, 4, 8, 12), "violates the U predicate", id="coset-collision"),
+    pytest.param((2, 4, 8, 64, 79), "violates the U predicate", id="out-of-range"),
+    pytest.param((2, 4, 8, 199, 200), "violates the U predicate", id="guard-bit-set"),
+    pytest.param((2, 4, 8, 16, 256), "violates the U predicate", id="past-a-byte"),
+    pytest.param((-1, 2, 4, 8, 16), "violates the U predicate", id="negative"),
+    pytest.param((2, 4, 8, 16), "violates the U predicate", id="too-short"),
+]
+
+
+class TestLaneCheck:
+    @pytest.mark.parametrize("block,message", _U_FAULTS)
+    @pytest.mark.parametrize("where", ["first", "chunk-end", "chunk-start", "last"])
+    def test_one_fault_anywhere_names_its_block(self, lifted_over_a_chunk, block, message, where):
+        fam = lifted_over_a_chunk
+        pos = {"first": 0, "chunk-end": blocks_module._CHUNK - 1,
+               "chunk-start": blocks_module._CHUNK, "last": len(fam) - 1}[where]
+        if block is None:
+            b = fam.blocks[pos]
+            block = (b[1], b[0], *b[2:])
+        assert _family_error(fam, _planted(fam, [(pos, block)])) == f"block {block} {message}"
+
+    @pytest.mark.parametrize(
+        "early,late",
+        [((2, 4, 8, 16, 32), (-1, 2, 4, 8, 16)), ((-1, 2, 4, 8, 16), (2, 4, 8, 16, 32)),
+         ((2, 4, 8, 16), (4, 2, 8, 16, 32)), ((4, 2, 8, 16, 32), (2, 3, 4, 8, 12))],
+    )
+    def test_the_first_of_two_faults_is_named(self, lifted_over_a_chunk, early, late):
+        fam = lifted_over_a_chunk
+        start = blocks_module._CHUNK
+        for faults in ([(start + 3, early), (start + 40, late)],
+                       [(start - 1, early), (start, late)]):
+            message = _family_error(fam, _planted(fam, faults))
+            assert message.startswith(f"block {early} ")
+
+    @pytest.mark.parametrize(
+        "fam",
+        [zero_sum_blocks(8, 3), sum_to_shift_blocks(9, 3, 100), gdd_groups(17, 3)],
+        ids=["m8", "m9", "ambient17"],
+    )
+    def test_wide_lanes(self, fam):
+        top = 1 << fam.m
+        assert BlockFamily(fam.kind, fam.m, fam.k, fam.blocks, alpha=fam.alpha).blocks == fam.blocks
+        b = fam.blocks[-1]
+        assert b[-1] >= top // 2  # the last block reaches the top bit of m
+        out = (*b[:-2], top + b[-2], top + b[-1])  # same XOR-sum and order
+        for pos in (0, len(fam) - 1):
+            assert _family_error(fam, _planted(fam, [(pos, out)])) == (
+                f"block {out} violates the {fam.kind} predicate"
+            )
+        swapped = (b[-1], *b[:-1])
+        assert _family_error(fam, _planted(fam, [(0, swapped)])) == (
+            f"block {swapped} is not strictly increasing"
+        )
+
+    def test_ambient_17_groups_at_the_top_of_the_field(self):
+        fam = gdd_groups(17, 3)
+        assert (2**17 - 4, 2**17 - 1) in fam
+        pred = family_predicate("U", 17, 2, alpha=3)
+        assert all(pred(b) for b in fam)
+        assert not pred((3, 2**17 - 1)) and not pred((2**17, 2**17 + 3))
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            ((1, 126, 127), None),
+            ((1, 128, 129), "violates the W predicate"),
+            ((127, 128, 255), "violates the W predicate"),
+            ((1, 129, 128), "is not strictly increasing"),
+            ((128, 256, 384), "violates the W predicate"),
+            ((256, 128, 384), "is not strictly increasing"),
+            ((-1, 2, 3), "violates the W predicate"),
+            ((2, -1, 3), "is not strictly increasing"),
+        ],
+    )
+    def test_points_past_the_byte_lanes_at_m7(self, block, message):
+        pred = family_predicate("W", 7, 3)
+        assert pred(block) == (message is None) == pred(block[::-1])
+        family = ((1, 2, 3), (1, 4, 5), block, (2, 4, 6))
+        if message is None:
+            BlockFamily("W", 7, 3, family)
+        else:
+            with pytest.raises(FamilyError) as exc:
+                BlockFamily("W", 7, 3, family)
+            assert str(exc.value) == f"block {block} {message}"
+
+    @pytest.mark.parametrize("kind,alpha", [("L", 6), ("U", 6), ("L", 1), ("U", 9)])
+    def test_set_condition_is_brute_force_membership(self, set_test_form, kind, alpha):
+        preds = [family_predicate(kind, 4, k, alpha=alpha) for k in range(8)]
+        for k, pred in enumerate(preds):
+            members = set(_brute_family(kind, 4, k, alpha, None))
+            for b in combinations(range(1, 16), k):
+                assert pred(b) == pred(b[::-1]) == (b in members), b
+
+    @pytest.mark.parametrize(
+        "build,args,fault",
+        [
+            (gdd_blocks, (5, 5, 9), (2, 4, 11, 16, 20)),  # 2 ^ 9 = 11
+            (shift_invariant_blocks, (5, 6, 3), (1, 2, 4, 7, 8, 12)),  # 12 ^ 3 = 15
+        ],
+    )
+    def test_set_condition_over_whole_families(self, set_test_form, build, args, fault):
+        fam = build(*args)
+        assert BlockFamily(fam.kind, fam.m, fam.k, fam.blocks, alpha=fam.alpha).blocks == fam.blocks
+        for pos in (0, len(fam) - 1):
+            assert _family_error(fam, _planted(fam, [(pos, fault)])) == (
+                f"block {fault} violates the {fam.kind} predicate"
+            )
+
+    def test_large_k_shift_invariant_block_is_linear_in_k(self):
+        # One block of 65,534 points: C(k, 2) column tests would be 2.1e9.
+        start = time.perf_counter()
+        fam = shift_invariant_blocks(16, 65534, 1)
+        assert len(fam) == 1 and len(fam.blocks[0]) == 65534
+        assert family_predicate("L", 16, 65534, alpha=1)(fam.blocks[0])
+        assert time.perf_counter() - start < 10

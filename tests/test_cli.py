@@ -63,6 +63,22 @@ class TestEnumerate:
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_block_of_every_ground_point(self):
+        # k = 2046 takes all of GF(2^11) minus {0, 1}, which XOR to 1: one
+        # block, found without one stack frame per point.
+        proc = run_cli(["enumerate", "--family", "I", "--m", "11", "--k", "2046", "--alpha", "1"])
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["block"] == list(range(2, 2048))
+
+    def test_search_over_budget_exits_3_before_searching(self):
+        # 4.29e9 search nodes against the default 10^8: refused up front.
+        proc = run_cli(["verify-bibd", "--m", "16", "--k", "3"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert b"exceeded the enumeration budget of 100000000 nodes" in proc.stderr
+
     def test_export_requires_out(self):
         proc = run_cli(["export", "--m", "3", "--k", "3"])
         assert proc.returncode == 2
