@@ -7,10 +7,12 @@ element is forced by the target sum. Every enumerator charges its search
 nodes against an explicit budget, in closed form before it searches, and
 raises BudgetExceededError rather than truncating silently.
 
-A family's membership rule is checked lane-packed: a chunk of blocks
-becomes k column ints with one lane per block, and each fact of the rule
-is a few big-int operations over every lane at once (see `_Rule`).
-Everything here is pure and immutable.
+A family is held packed: one bytes buffer of k fixed-width lanes per block
+(see `BlockFamily`). Its membership rule is checked on those lanes: a
+chunk of blocks becomes k column ints with one lane per block, and each
+fact of the rule is a few big-int operations over every lane at once (see
+`_Rule`). The lifted family is built in the same columns (see
+`gdd_blocks`). Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import and_, ge, or_, xor
 from typing import Callable, Iterator
@@ -47,13 +49,73 @@ DEFAULT_NODE_BUDGET = 100_000_000
 
 FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
 
-# Blocks per lane-packed check. A check's scratch memory is a few bytes
-# per point of one chunk, however large the family.
+# Blocks per lane-packed check, and bases per chunk of the lift. A check's
+# scratch memory is a few bytes per point of one chunk, however large the
+# family.
 _CHUNK = 65_536
 # L and U test their set condition on columns, C(k, 2) big-int operations,
 # while that is at most this many per point of the chunk; past it, on each
 # block's set, which costs one step per point.
 _PAIR_TESTS_PER_POINT = 1
+
+
+def _lane_size(m: int) -> int:
+    """Bytes per lane for points of GF(2^m): one while 2^m <= 128, else
+    four. The top bit of a lane is its guard, clear in every point."""
+    return 1 if m < 8 else 4
+
+
+def _pack(points, size: int) -> bytes | None:
+    """The points as big-endian lanes of `size` bytes, or None if one is
+    not an int that fits a lane. Fixed-width big-endian lanes compare as
+    bytes in the lexicographic order of the points."""
+    try:
+        if size == 1:
+            return bytes(points)
+        lanes = array("I", points)
+    except (ValueError, OverflowError, TypeError):
+        return None
+    if sys.byteorder == "little":
+        lanes.byteswap()
+    return lanes.tobytes()
+
+
+def _unpack(lanes: bytes, size: int, order: str):
+    """Packed lanes as a sequence with each lane's bytes in `order`:
+    "little" is the layout int.from_bytes(..., "little") reads lane by
+    lane, sys.byteorder gives the points as ints."""
+    if size == 1:
+        return lanes
+    out = array("I")
+    out.frombytes(lanes)
+    if order == "little":
+        out.byteswap()
+    return out
+
+
+def _columns(lanes: bytes, k: int, size: int) -> list[int]:
+    """Column j of the packed blocks as an int: point j of block i in lane i."""
+    seq = _unpack(lanes, size, "little")
+    return [int.from_bytes(seq[j::k], "little") for j in range(k)]
+
+
+def _block_at(lanes: bytes, k: int, size: int, i: int) -> Block:
+    """Block i of the packed blocks."""
+    start = i * k * size
+    return tuple(_unpack(lanes[start : start + k * size], size, sys.byteorder))
+
+
+def _interleave(cols: list[int], n: int, size: int) -> bytes:
+    """The inverse of `_columns`: n blocks packed from their k columns."""
+    k = len(cols)
+    out = array("B" if size == 1 else "I")
+    out.frombytes(bytes(n * k * size))
+    for j, c in enumerate(cols):
+        col = array(out.typecode)
+        col.frombytes(c.to_bytes(n * size, "little"))
+        out[j::k] = col
+    out.byteswap()
+    return out.tobytes()
 
 
 def _ones(lanes: int, width: int) -> int:
@@ -75,10 +137,45 @@ def _first_lane(mask: int, width: int) -> int | None:
     return ((mask & -mask).bit_length() - 1) // width if mask else None
 
 
+def _sorting_network(k: int) -> list[tuple[int, int]]:
+    """Batcher's odd-even merge sort (1968) on k inputs, as the pairs
+    (i, j), i < j, to compare-exchange in order. Comparators that would
+    reach past k are dropped, as if the inputs were padded with maxima."""
+    pairs = []
+    p = 1
+    while p < k:
+        d = p
+        while d:
+            for j in range(d % p, k - d, 2 * d):
+                for i in range(min(d, k - j - d)):
+                    if (i + j) // (2 * p) == (i + j + d) // (2 * p):
+                        pairs.append((i + j, i + j + d))
+            d //= 2
+        p *= 2
+    return pairs
+
+
+def _sort_lanes(cols: list[int], pairs, n: int, width: int) -> None:
+    """Sort the points of every lane across the columns, in place.
+
+    A compare-exchange of columns a and b takes the guard bits of
+    (a | guard) - (b & low), set where a >= b with no borrow leaving a
+    lane, widens them to lane masks and swaps those lanes by XOR.
+    """
+    ones = _ones(n, width)
+    guard = ones << (width - 1)
+    low = guard - ones
+    for i, j in pairs:
+        a, b = cols[i], cols[j]
+        swap = ((a | guard) - (b & low)) & guard
+        swap = (a ^ b) & (swap - (swap >> (width - 1)))
+        cols[i], cols[j] = a ^ swap, b ^ swap
+
+
 class _Rule:
     """The membership rule of one family, checked on lane-packed blocks.
 
-    n blocks of k points pack into k column ints, column j holding point
+    n blocks of k points unpack into k column ints, column j holding point
     j of block i in lane i, and one flat int with one lane per point.
     Lanes are a byte while 2^m <= 128, else 32 bits; the top bit of each
     lane is its guard, clear in every allowed point. Each fact is a few
@@ -99,7 +196,7 @@ class _Rule:
     k >= 4, say) tests each block's set against its shift instead.
     """
 
-    __slots__ = ("kind", "m", "k", "alpha", "target", "pair", "shifted", "width", "masks")
+    __slots__ = ("kind", "m", "k", "alpha", "target", "pair", "shifted", "size", "width", "masks")
 
     def __init__(self, kind: str, m: int, k: int, alpha: int | None, pair):
         if kind in ("I", "J", "L", "U"):
@@ -119,20 +216,9 @@ class _Rule:
         self.target = {"W": 0, "Wpair": 0, "J": 0, "I": alpha, "U": alpha}.get(kind)
         self.pair = pair if kind == "Wpair" else ()
         self.shifted = kind == "L" or (kind == "U" and k != 2)
-        self.width = 8 if m < 8 else 32
+        self.size = _lane_size(m)
+        self.width = 8 * self.size
         self.masks: dict[int, tuple] = {}
-
-    def pack(self, points):
-        """The points as lanes, or None if one is not an int that fits one."""
-        try:
-            if self.width == 8:
-                return bytes(points)
-            lanes = array("I", points)
-        except (ValueError, OverflowError, TypeError):
-            return None
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return lanes
 
     def _masks(self, n: int) -> tuple:
         """Lane constants for n blocks: guard and low bits of the block
@@ -150,20 +236,20 @@ class _Rule:
         )
         return masks
 
-    def bad_points(self, packed, n: int) -> int:
-        """The guard bits of the lanes of n packed blocks' points that lie
-        outside the allowed set; the lanes are in point order."""
+    def bad_points(self, flat: int, n: int) -> int:
+        """The guard bits of the lanes of n blocks' points, packed into one
+        int in point order, that lie outside the allowed set."""
         flat_guard, flat_low, high, flat_alpha = (self.masks.get(n) or self._masks(n))[1]
-        flat = int.from_bytes(packed, "little")
         ok = _nonzero(flat, flat_low, flat_guard)
         if flat_alpha:
             ok &= _nonzero(flat ^ flat_alpha, flat_low, flat_guard)
         return flat & high | ok ^ flat_guard
 
-    def bad_blocks(self, cols: list[int], items, ordered: bool) -> int:
-        """The guard bits of the lanes of `items`, packed into columns, that
-        fail the XOR-sum, the set condition or, with `ordered`, the order."""
-        n, k = len(items), self.k
+    def bad_blocks(self, cols: list[int], n: int, block: Callable[[int], Block], ordered: bool) -> int:
+        """The guard bits of the lanes of n blocks, packed into columns,
+        that fail the XOR-sum, the set condition or, with `ordered`, the
+        order; `block(i)` is block i, for the set test on each block."""
+        k = self.k
         guard, low, target, alpha, pair = (self.masks.get(n) or self._masks(n))[0]
         bad = 0
         if ordered:
@@ -190,28 +276,23 @@ class _Rule:
             return bad | guard ^ reduce(and_, apart, guard)
         test = set.issuperset if self.kind == "L" else set.isdisjoint
         shift = self.alpha.__xor__
-        for i, b in enumerate(items):
+        for i in range(n):
+            b = block(i)
             if not test(set(b), map(shift, b)):
                 return bad | 1 << (i * self.width + self.width - 1)
         return bad
 
-    def first_bad(self, items) -> int | None:
-        """The index of the first of `items` that is not a strictly
-        increasing member, or None."""
-        if not items:
+    def first_bad(self, lanes: bytes, n: int) -> int | None:
+        """The index of the first of n packed blocks that is not a
+        strictly increasing member, or None."""
+        if not n:
             return None
-        k, w = self.k, self.width
-        packed = self.pack(chain.from_iterable(items))
-        if packed is None or set(map(len, items)) != {k}:
-            # Some item has another size or a point that fits no lane: it
-            # fails, so the answer is it or an earlier failure.
-            bad = next(j for j, b in enumerate(items) if len(b) != k or self.pack(b) is None)
-            head = self.first_bad(items[:bad])
-            return bad if head is None else head
-        cols = [int.from_bytes(packed[j::k], "little") for j in range(k)]
+        k, w, size = self.k, self.width, self.size
+        flat = int.from_bytes(_unpack(lanes, size, "little"), "little")
         firsts = (
-            _first_lane(self.bad_blocks(cols, items, True), w),
-            _first_lane(self.bad_points(packed, len(items)), w * k),
+            _first_lane(self.bad_blocks(_columns(lanes, k, size), n,
+                                        lambda i: _block_at(lanes, k, size, i), True), w),
+            _first_lane(self.bad_points(flat, n), w * k),
         )
         return min((i for i in firsts if i is not None), default=None)
 
@@ -242,61 +323,138 @@ def family_predicate(
     repeated point counts once in the set condition.
     """
     rule = _Rule(kind, m, k, alpha, pair)
+    size = rule.size
 
     def pred(b: Block) -> bool:
         if len(b) != k:
             return False
-        packed = rule.pack(b)
+        packed = _pack(b, size)
         return (
             packed is not None
-            and not rule.bad_points(packed, 1)
-            and not rule.bad_blocks(list(packed), (b,), False)
+            and not rule.bad_points(int.from_bytes(_unpack(packed, size, "little"), "little"), 1)
+            and not rule.bad_blocks(list(_unpack(packed, size, sys.byteorder)), 1, lambda i: b, False)
         )
 
     return pred
 
 
-@dataclass(frozen=True)
+def _block_error(b, kind: str) -> FamilyError:
+    if any(map(ge, b, b[1:])):
+        return FamilyError(f"block {b} is not strictly increasing")
+    return FamilyError(f"block {b} violates the {kind} predicate")
+
+
+@dataclass(frozen=True, init=False)
 class BlockFamily:
     """An enumerated family together with its defining parameters.
+
+    The blocks are held as one immutable bytes buffer, `lanes`: the k
+    points of every block in turn, each an unsigned big-endian lane of
+    `lane_size` bytes (one while 2^m <= 128, else four), blocks in the
+    order given (the enumerators give them sorted). Since the lanes have
+    one width, that order is the order of each block's bytes, and
+    membership tests are binary searches on them. Iteration builds the
+    block tuples at C speed; `blocks` builds all of them on access.
 
     Construction re-checks every member against the family's rule, so a
     BlockFamily in hand is always internally consistent. The check runs
     lane-packed over chunks of 65,536 blocks, so its scratch memory does
     not grow with the family: the first failing lane names the first bad
     block, which raises FamilyError saying it is not strictly increasing
-    or, failing that, that it violates the predicate. Blocks are kept
-    sorted lexicographically; membership tests are binary searches.
+    or, failing that, that it violates the predicate.
     """
 
     kind: str
     m: int
     k: int
-    blocks: tuple[Block, ...]
+    lanes: bytes = field(repr=False)
     alpha: int | None = None
     pair: tuple[int, int] | None = None
 
-    def __post_init__(self):
-        rule = _Rule(self.kind, self.m, self.k, self.alpha, self.pair)
-        for start in range(0, len(self.blocks), _CHUNK):
-            chunk = self.blocks[start : start + _CHUNK]
-            bad = rule.first_bad(chunk)
+    def __init__(self, kind: str, m: int, k: int, blocks, alpha=None, pair=None):
+        """Pack `blocks`, a sequence of k-tuples, and check them. A block
+        of another size, or with a point that fits no lane, fails."""
+        rule = _Rule(kind, m, k, alpha, pair)
+        parts, unpackable = [], None
+        for start in range(0, len(blocks), _CHUNK):
+            chunk = blocks[start : start + _CHUNK]
+            packed = _pack(chain.from_iterable(chunk), rule.size)
+            if packed is None or set(map(len, chunk)) != {k}:
+                bad = next(j for j, b in enumerate(chunk) if len(b) != k or _pack(b, rule.size) is None)
+                parts.append(_pack(chain.from_iterable(chunk[:bad]), rule.size))
+                unpackable = start + bad
+                break
+            parts.append(packed)
+        n = len(blocks) if unpackable is None else unpackable
+        self._fill(kind, m, k, b"".join(parts), alpha, pair, n)
+        self.__post_init__(rule, blocks, unpackable)
+
+    @classmethod
+    def _from_lanes(cls, kind: str, m: int, k: int, lanes: bytes, alpha=None, pair=None):
+        """A family of already packed blocks, checked on its lanes."""
+        rule = _Rule(kind, m, k, alpha, pair)
+        family = cls.__new__(cls)
+        family._fill(kind, m, k, lanes, alpha, pair, len(lanes) // (k * rule.size))
+        family.__post_init__(rule)
+        return family
+
+    def _fill(self, kind, m, k, lanes, alpha, pair, n) -> None:
+        for name, value in (("kind", kind), ("m", m), ("k", k), ("lanes", lanes),
+                            ("alpha", alpha), ("pair", pair), ("_n", n)):
+            object.__setattr__(self, name, value)
+
+    def __post_init__(self, rule: _Rule, given=None, unpackable: int | None = None) -> None:
+        """Re-validate: check the packed blocks chunk by chunk, and raise
+        for the first bad one, or else for block `unpackable` of `given`,
+        the first that could not be packed. Messages show the block as
+        given, else as unpacked."""
+        n, width = self._n, self.k * rule.size
+        for start in range(0, n, _CHUNK):
+            stop = min(n, start + _CHUNK)
+            bad = rule.first_bad(self.lanes[start * width : stop * width], stop - start)
             if bad is not None:
-                b = chunk[bad]
-                if any(map(ge, b, b[1:])):
-                    raise FamilyError(f"block {b} is not strictly increasing")
-                raise FamilyError(f"block {b} violates the {self.kind} predicate")
+                bad += start
+                break
+        else:
+            if unpackable is None:
+                return
+            bad = unpackable
+        b = _block_at(self.lanes, self.k, rule.size, bad) if given is None else given[bad]
+        raise _block_error(b, self.kind)
+
+    @property
+    def lane_size(self) -> int:
+        """Bytes per lane of `lanes`."""
+        return _lane_size(self.m)
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        """Every block as a tuple, built on access: n k-tuples of ints."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self._n
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
+        k = self.k
+        if not k:
+            return repeat((), self._n)
+        points = _unpack(self.lanes, self.lane_size, sys.byteorder)
+        return zip(*(points[j::k] for j in range(k)))
 
     def __contains__(self, block) -> bool:
-        b = tuple(block)
-        pos = bisect_left(self.blocks, b)
-        return pos < len(self.blocks) and self.blocks[pos] == b
+        """Whether `block` is a member: False for anything that is not k
+        points that fit a lane, else a binary search on the packed keys."""
+        try:
+            points = tuple(block)
+        except TypeError:
+            return False
+        key = _pack(points, self.lane_size) if len(points) == self.k else None
+        if key is None:
+            return False
+        width, lanes = len(key), self.lanes
+        pos = bisect_left(range(self._n), key, key=lambda i: lanes[i * width : i * width + width])
+        return pos < self._n and lanes[pos * width : pos * width + width] == key
 
 
 class _Budget:
@@ -448,25 +606,43 @@ def gdd_blocks(
     does not depend on which section is used. The budget is charged one
     node per node of the zero-sum search plus one per lifted block, each
     part before the blocks it counts are built.
+
+    The lift runs on lanes, `_CHUNK` bases at a time: the sections of the
+    bases' points become k column ints, each choice of shifts XORs alpha
+    into its columns (the last by parity), a sorting network sorts every
+    block's points across the columns (`_sort_lanes`), and the blocks are
+    packed. The blocks are then sorted once on their packed keys.
     """
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
     m = ambient_exp - 1
     _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
-    lift = section(alpha, ambient_exp)
     bases = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)
     bud.spend(len(bases) << (k - 1))
-    blocks: list[Block] = []
-    for base in bases:
-        # Choose freely in every coset but the last; the last point is then
-        # forced by the target sum, which fixes the parity of the shifts.
-        cosets = [(lift[y], lift[y] ^ alpha) for y in base[:-1]]
-        for head in product(*cosets):
-            blocks.append(tuple(sorted((*head, reduce(xor, head, alpha)))))
-    blocks.sort()
-    blocks = tuple(blocks)  # the list is freed before the check runs
-    return BlockFamily("U", ambient_exp, k, blocks, alpha=alpha)
+    size = _lane_size(ambient_exp)
+    lifted = _pack(map(section(alpha, ambient_exp).__getitem__, chain.from_iterable(bases)), size)
+    del bases
+    pairs, step, keys = _sorting_network(k), k * size, []
+    for start in range(0, len(lifted), _CHUNK * step):
+        chunk = lifted[start : start + _CHUNK * step]
+        n = len(chunk) // step
+        *head, last = _columns(chunk, k, size)
+        shift = _ones(n, 8 * size) * alpha
+        cuts = list(map(slice, range(0, n * step, step), range(step, n * step + step, step)))
+        for choice in range(1 << (k - 1)):
+            # Shift the points of the set bits of `choice`, and the last
+            # point iff that leaves an even number shifted.
+            cols = [c ^ shift if choice >> j & 1 else c for j, c in enumerate(head)]
+            cols.append(last if choice.bit_count() & 1 else last ^ shift)
+            _sort_lanes(cols, pairs, n, 8 * size)
+            keys += map(_interleave(cols, n, size).__getitem__, cuts)
+    keys.sort()
+    lanes = bytearray()
+    while keys:  # a chunk at a time: one join of every key takes ~80 bytes a key
+        lanes += b"".join(keys[:_CHUNK])
+        del keys[:_CHUNK]
+    return BlockFamily._from_lanes("U", ambient_exp, k, bytes(lanes), alpha=alpha)
 
 
 def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:

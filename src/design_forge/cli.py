@@ -28,6 +28,7 @@ import os
 import sys
 import tempfile
 import time
+from itertools import chain
 
 from . import blocks, designs, params
 from .errors import (
@@ -91,16 +92,38 @@ def _resolve_budget(args) -> int:
     return args.budget
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    """Print to stdout, or atomically replace the target file."""
+class _Text:
+    """Output text made piece by piece while it is written, so the whole
+    text is never held at once. len() counts the characters made so far,
+    which is the length of the text once it has been written."""
+
+    __slots__ = ("pieces", "length")
+
+    def __init__(self, pieces):
+        self.pieces = pieces
+        self.length = 0
+
+    def __iter__(self):
+        for piece in self.pieces:
+            self.length += len(piece)
+            yield piece
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def _write_output(text, out_path: str | None) -> None:
+    """Print a str or a `_Text` to stdout, or atomically replace the
+    target file with it: it is written to a temporary file first."""
+    pieces = (text,) if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".design-forge-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -108,9 +131,9 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise
 
 
-def _csv_text(rows: list[list[str]]) -> str:
+def _csv_text(rows) -> _Text:
     # RFC 4180: CRLF record separators, plain decimal integers.
-    return "".join(",".join(row) + "\r\n" for row in rows)
+    return _Text(",".join(row) + "\r\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +168,9 @@ def _enumerate_family(args, budget: int) -> blocks.BlockFamily:
     raise ArgumentError(f"unknown family {family!r}")
 
 
-def _jsonl_text(family: blocks.BlockFamily) -> str:
-    lines = []
-    for block in family.blocks:
-        lines.append(
-            json.dumps(
-                {
-                    "m": family.m,
-                    "k": family.k,
-                    "family": family.kind,
-                    "alpha": family.alpha,
-                    "block": list(block),
-                }
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+def _jsonl_text(family: blocks.BlockFamily) -> _Text:
+    fields = {"m": family.m, "k": family.k, "family": family.kind, "alpha": family.alpha}
+    return _Text(json.dumps({**fields, "block": list(block)}) + "\n" for block in family)
 
 
 def cmd_enumerate(args) -> int:
@@ -262,55 +273,55 @@ def cmd_verify_gdd(args) -> int:
 # params
 
 
-def _param_rows(m: int) -> list[list[str]]:
+def _param_rows(m: int):
+    """The table's CSV rows, each made as it is written."""
     table = params.param_table(m)
     closed = params.closed_forms(m)
     top = (1 << m) - 3
-    rows = [
-        [
-            "k",
-            "b_k",
-            "r_k",
-            "lambda_k",
-            "lambda_prime_k",
-            "closed_lambda_k",
-            "reference_lambda_prime_k",
-        ]
+    header = [
+        "k",
+        "b_k",
+        "r_k",
+        "lambda_k",
+        "lambda_prime_k",
+        "closed_lambda_k",
+        "reference_lambda_prime_k",
     ]
-    for k in range(2, top + 1):
-        row = table.rows[k]
+
+    def row(k: int) -> list[str]:
+        cells = table.rows[k]
         closed_cell = str(closed[k][0]) if k in closed else ""
         reference_cell = (
             str(params.reference_gdd_balance(m, k)) if 3 <= k <= 7 else ""
         )
-        rows.append(
-            [
-                str(k),
-                str(row.blocks),
-                str(row.replication),
-                str(row.balance),
-                str(row.gdd_balance),
-                closed_cell,
-                reference_cell,
-            ]
-        )
-    return rows
+        return [
+            str(k),
+            str(cells.blocks),
+            str(cells.replication),
+            str(cells.balance),
+            str(cells.gdd_balance),
+            closed_cell,
+            reference_cell,
+        ]
+
+    return chain([header], map(row, range(2, top + 1)))
 
 
 def cmd_params(args) -> int:
     # b_k has ~0.3 * 2^m digits, past Python's int-to-str limit from m = 14.
     # The limit guards parsing outside text, which params does not do after
-    # argparse, so it is lifted only while the table is formatted.
+    # argparse, so it is lifted only while the table is formatted, which
+    # is while it is written.
+    rows = _param_rows(args.m_single)
     if not hasattr(sys, "set_int_max_str_digits"):  # this Python has no limit
-        rows = _param_rows(args.m_single)
-    else:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            rows = _param_rows(args.m_single)
-        finally:
-            sys.set_int_max_str_digits(limit)
-    _write_output(_csv_text(rows), args.out)
+        _write_output(_csv_text(rows), args.out)
+        return EXIT_OK
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _write_output(_csv_text(rows), args.out)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
@@ -405,7 +416,7 @@ def cmd_crosscheck(args) -> int:
     _write_output(_csv_text(out_rows), args.out)
     if mismatches:
         header = [["m", "k", "check", "field", "observed", "expected"]]
-        sys.stderr.write(_csv_text(header + mismatches))
+        sys.stderr.writelines(_csv_text(header + mismatches))
         return EXIT_MISMATCH
     return EXIT_OK
 

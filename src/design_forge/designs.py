@@ -9,17 +9,24 @@ one popcount (O(v^2 * b/64) word operations on v * b bits); above that,
 an array of its blocks' indices, so its row is a count of those blocks'
 points (O(b * k^2) counts on b * k 32-bit entries). Groups are always
 bitsets; a pair is same-group iff its two group bitsets meet, so the
-grouped check is the plain sweep plus that mask. Reports keep the full
+grouped check is the plain sweep plus that mask. Bitsets are built from
+the items' point indices packed into columns, by bit planes (see
+`_bitset_incidence`), not item by item; a BlockFamily is read through its
+packed lanes, and every item is still checked here for its size, a
+repeated point and a point outside the point set. Reports keep the full
 histograms so near-misses stay diagnosable, and the first counterexample
 is deterministic (smallest failing pair in lexicographic order).
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
+from operator import or_
 
 from .errors import (
     ConsistencyError,
@@ -64,45 +71,147 @@ class GddReport(DesignReport):
     cross_group_lambda: int | None
 
 
-def _items(collection):
-    """The blocks of a BlockFamily, or any collection as a sequence."""
-    items = getattr(collection, "blocks", collection)
-    return items if isinstance(items, (list, tuple)) else list(items)
+def _items(collection, empty: str):
+    """(items, item size) of a collection of blocks or groups: a family as
+    it is, anything else as a sequence. No item raises ShapeError(empty)."""
+    family = hasattr(collection, "lanes")
+    if not (family or isinstance(collection, (list, tuple))):
+        collection = list(collection)
+    if not len(collection):
+        raise ShapeError(empty)
+    return collection, collection.k if family else len(collection[0])
 
 
-def _incidence(items, index: dict, noun: str, repeat_error, packed: bool):
-    """Check uniform size, no repeated point and containment, item by item.
-
-    Returns (item size, rows) where rows[i] holds the items that contain
-    the point with index i: packed, an int whose bit j is set iff item j
-    does; otherwise an array of those j.
-    """
-    size = len(items[0])
-    nbytes = (len(items) + 7) >> 3
-    rows = [bytearray(nbytes) if packed else array("I") for _ in index]
-    for j, item in enumerate(items):
-        if len(item) != size:
-            raise ShapeError(
-                f"expected uniform {noun} size {size}, found {len(item)}"
-            )
-        if len(set(item)) != size:
-            raise repeat_error(f"{noun} {tuple(item)} repeats a point")
-        byte, bit = j >> 3, 1 << (j & 7)
-        try:
-            for x in item:
-                if packed:
-                    rows[index[x]][byte] |= bit
-                else:
-                    rows[index[x]].append(j)
-        except KeyError as exc:
+def _check_item(item, size: int, index: dict, noun: str, repeat_error) -> None:
+    """Raise for the first defect of one item, checked in this order:
+    another size, a repeated point, a point outside the point set."""
+    if len(item) != size:
+        raise ShapeError(f"expected uniform {noun} size {size}, found {len(item)}")
+    if len(set(item)) != size:
+        raise repeat_error(f"{noun} {tuple(item)} repeats a point")
+    for x in item:
+        if x not in index:
             raise ContainmentError(
-                f"{noun} {tuple(item)} uses point {exc.args[0]} "
-                "outside the point set"
-            ) from None
-    if packed:
-        for i, row in enumerate(rows):
-            rows[i] = int.from_bytes(row, "little")
-    return size, rows
+                f"{noun} {tuple(item)} uses point {x} outside the point set"
+            )
+
+
+def _index_lanes(points, v: int):
+    """Point indices as lanes: bytes while every index, and v, fits one."""
+    return bytes(points) if v < 256 else array("I", points)
+
+
+def _family_lanes(family, index: dict):
+    """(point indices, item(j)) for a family's lanes, read through its
+    documented `lanes`, `lane_size` and `k`: unsigned big-endian lanes, k
+    per block. A point outside the point set gets index len(index)."""
+    k, v = family.k, len(index)
+    if family.lane_size == 1:
+        points = family.lanes
+    else:
+        points = array("I")
+        points.frombytes(family.lanes)
+        if sys.byteorder == "little":
+            points.byteswap()
+    if len(points) != len(family) * k:
+        raise ShapeError(f"expected {len(family)} {k}-point blocks in the lanes")
+    if family.lane_size == 1 and v < 256:
+        idx = points.translate(bytes(index.get(x, v) for x in range(256)))
+    else:
+        idx = _index_lanes(map(index.get, points, repeat(v)), v)
+    return idx, lambda j: tuple(points[j * k : j * k + k])
+
+
+def _item_lanes(items, size: int, index: dict, noun: str, repeat_error):
+    """Point indices of a plain sequence's items, item after item. On any
+    defect, the first defective item raises its own error."""
+    try:
+        if set(map(len, items)) == {size}:
+            return _index_lanes(map(index.__getitem__, chain.from_iterable(items)), len(index))
+    except (KeyError, TypeError):
+        pass
+    for item in items:
+        _check_item(item, size, index, noun, repeat_error)
+    raise AssertionError("a defect that no item shows")
+
+
+def _planes(col, bits: int) -> list[int]:
+    """Bit t of every lane of `col` (bytes, or 32-bit lanes), t < bits, as
+    one int per t holding lane i's bit at bit i.
+
+    Lane i = 8g + r of byte q is element g of the slice that starts at
+    byte q of lane r and steps 8 lanes; bit t of that slice's bytes,
+    shifted up by r, lands at bit i.
+    """
+    step = 1 if isinstance(col, bytes) else 4
+    if step == 4 and sys.byteorder == "big":
+        col = array("I", col)
+        col.byteswap()
+    raw = bytes(col)
+    ones = int.from_bytes(b"\x01" * -(-len(raw) // (8 * step)), "little")
+    planes = []
+    for q in range(-(-bits // 8)):
+        parts = [int.from_bytes(raw[q + step * r :: 8 * step], "little") for r in range(8)]
+        for t in range(min(8, bits - 8 * q)):
+            planes.append(reduce(or_, ((p >> t & ones) << r for r, p in enumerate(parts))))
+    return planes
+
+
+def _split(planes: list[int], lanes: int):
+    """Every value held in some lane with the set of lanes holding it, by
+    an AND-trie over the value's bit planes from the top bit down."""
+    stack = [(lanes, len(planes), 0)]
+    while stack:
+        held, t, x = stack.pop()
+        if not t:
+            yield x, held
+            continue
+        t -= 1
+        high = held & planes[t]
+        if high:
+            stack.append((high, t, x | 1 << t))
+        if high != held:
+            stack.append((held ^ high, t, x))
+
+
+def _bitset_incidence(collection, size: int, index: dict, noun: str, repeat_error) -> list[int]:
+    """Check every item and return rows, rows[i] the int whose bit j is
+    set iff item j holds the point with index i.
+
+    The items' point indices are packed into k column lanes. Each column
+    splits into its bit planes, and the AND-trie over them gives every
+    index's items in that column; OR-ing the columns gives the rows. An
+    item whose point shows up in two columns repeats it, and the index
+    one past the point set is a point outside it. The first such item,
+    named by the lowest failing lane, raises its own error.
+    """
+    if hasattr(collection, "lanes"):
+        idx, item = _family_lanes(collection, index)
+    else:
+        idx = _item_lanes(collection, size, index, noun, repeat_error)
+        item = collection.__getitem__
+    v, n = len(index), len(collection)
+    rows, bad = [0] * (v + 1), 0
+    for c in range(size):
+        for x, held in _split(_planes(idx[c::size], v.bit_length()), (1 << n) - 1):
+            bad |= rows[x] & held
+            rows[x] |= held
+    bad |= rows.pop()
+    if bad:
+        _check_item(item(((bad & -bad).bit_length() - 1)), size, index, noun, repeat_error)
+        raise AssertionError("a failing lane whose item shows no defect")
+    return rows
+
+
+def _index_incidence(items, size: int, index: dict, noun: str, repeat_error) -> list:
+    """Check every item and return rows, rows[i] an array of the items
+    that hold the point with index i."""
+    rows = [array("I") for _ in index]
+    for j, item in enumerate(items):
+        _check_item(item, size, index, noun, repeat_error)
+        for x in item:
+            rows[index[x]].append(j)
+    return rows
 
 
 def _block_incidence(blocks, pts: list, index: dict):
@@ -111,13 +220,15 @@ def _block_incidence(blocks, pts: list, index: dict):
     Row a of the coverage rows, made when the sweep reaches it, lists
     the coverage of the pairs (a, c) for c > a in order.
     """
-    items = _items(blocks)
-    if not items:
-        raise ShapeError("cannot verify an empty block collection")
-    if len(items[0]) < 2:
+    items, k = _items(blocks, "cannot verify an empty block collection")
+    if k < 2:
         raise ShapeError("blocks must have at least two points")
-    packed = len(pts) <= _BITSET_MAX_V_PER_K * len(items[0])
-    k, inc = _incidence(items, index, "block", ShapeError, packed)
+    packed = len(pts) <= _BITSET_MAX_V_PER_K * k
+    if packed:
+        inc = _bitset_incidence(items, k, index, "block", ShapeError)
+    else:
+        items = items if isinstance(items, (list, tuple)) else list(items)
+        inc = _index_incidence(items, k, index, "block", ShapeError)
     r_counts = Counter(map(int.bit_count if packed else len, inc))
     if packed:
         rows = (
@@ -197,10 +308,8 @@ def verify_gdd(points, groups, blocks) -> GddReport:
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    group_items = _items(groups)
-    if not group_items:
-        raise ShapeError("cannot verify with an empty group collection")
-    _, ginc = _incidence(group_items, index, "group", PartitionError, True)
+    group_items, size = _items(groups, "cannot verify with an empty group collection")
+    ginc = _bitset_incidence(group_items, size, index, "group", PartitionError)
     partition_ok = len(group_items) > 1 and all(
         row.bit_count() == 1 for row in ginc
     )

@@ -70,16 +70,19 @@ def hamming_weight_enumerator(m: int) -> list[int]:
     The closed form A(x) = [(1+x)^n + n(1-x)(1-x^2)^((n-1)/2)] / (n+1)
     (MacWilliams & Sloane, ch. 6), expanded coefficient by coefficient.
     """
+    return [hamming_weight_count(m, k) for k in range(2**m)]
+
+
+def hamming_weight_count(m: int, k: int) -> int:
+    """Coefficient k of `hamming_weight_enumerator(m)`: the zero-sum
+    k-subsets of the nonzero elements of GF(2^m)."""
     n = 2**m - 1
     t = (n - 1) // 2
-    out = []
-    for k in range(n + 1):
-        # Coefficient of x^k in (1-x)(1-x^2)^t; the -x factor flips odd k.
-        tail = (-1) ** (k // 2 + k % 2) * comb(t, k // 2)
-        count, rem = divmod(comb(n, k) + n * tail, n + 1)
-        assert rem == 0, (m, k)
-        out.append(count)
-    return out
+    # Coefficient of x^k in (1-x)(1-x^2)^t; the -x factor flips odd k.
+    tail = (-1) ** (k // 2 + k % 2) * comb(t, k // 2)
+    count, rem = divmod(comb(n, k) + n * tail, n + 1)
+    assert rem == 0, (m, k)
+    return count
 
 
 def pair_coverage(points, blocks) -> dict[tuple[int, int], int]:

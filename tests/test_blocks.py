@@ -47,6 +47,7 @@ from helpers import (
     brute_sum_to_zero,
     brute_zero_sum,
     brute_zero_sum_containing,
+    hamming_weight_count,
 )
 
 
@@ -243,6 +244,11 @@ class TestGddBlocks:
     def test_ambient_16_matches_brute_force(self, alpha):
         for k in (3, 4):
             assert list(gdd_blocks(4, k, alpha)) == brute_gdd_blocks(4, k, alpha)
+
+    @pytest.mark.parametrize("alpha", range(1, 32))
+    def test_ambient_32_every_alpha_matches_brute_force(self, alpha):
+        for k in (3, 4):
+            assert list(gdd_blocks(5, k, alpha)) == brute_gdd_blocks(5, k, alpha)
 
     @pytest.mark.parametrize("alpha", [1, 9, 30])
     def test_ambient_32_spot_matches_brute_force(self, alpha):
@@ -469,6 +475,43 @@ class TestFamilyPlumbing:
         assert (1, 2, 3) in fam
         assert (1, 2, 4) not in fam
         assert [4, 8, 12] in fam
+
+    @pytest.mark.parametrize("fam", [zero_sum_blocks(4, 3), zero_sum_blocks(8, 3)], ids=["bytes", "wide"])
+    def test_membership_of_what_is_not_k_points_is_false(self, fam):
+        # Only k ints that fit a lane can be members; a float equal to a
+        # point is not one.
+        first = next(iter(fam))
+        assert first in fam and list(first) in fam and (True, *first[1:]) in fam
+        for other in (5, None, "ab", "abc", (1.0, 2, 3), (first[0] + 0.0, *first[1:]),
+                      first[:-1], (*first, 0), (-1, 2, 3), (2**40, 2, 3), ([1], 2, 3)):
+            assert other not in fam
+
+    @pytest.mark.parametrize(
+        "fam",
+        [zero_sum_blocks(4, 5), sum_to_shift_blocks(9, 3, 100), gdd_blocks(5, 5, 19), gdd_groups(17, 3)],
+        ids=["W", "I-wide", "U", "groups-wide"],
+    )
+    def test_lanes_hold_the_blocks_in_order(self, fam):
+        assert len(fam.lanes) == len(fam) * fam.k * fam.lane_size
+        assert fam.lane_size == (1 if fam.m < 8 else 4)
+        blocks = fam.blocks
+        assert blocks == tuple(fam) == tuple(sorted(blocks))
+        assert all(type(b) is tuple and all(type(x) is int for x in b) for b in blocks)
+        width = fam.k * fam.lane_size
+        keys = [fam.lanes[i : i + width] for i in range(0, len(fam.lanes), width)]
+        assert keys == sorted(keys)  # big-endian lanes sort as the blocks do
+        again = BlockFamily(fam.kind, fam.m, fam.k, blocks, alpha=fam.alpha)
+        assert again == fam and again.lanes == fam.lanes and hash(again) == hash(fam)
+        assert BlockFamily._from_lanes(fam.kind, fam.m, fam.k, fam.lanes, alpha=fam.alpha) == fam
+
+    def test_a_bad_lane_names_its_block_unpacked(self):
+        fam = gdd_blocks(5, 4, 1)
+        lanes = bytearray(fam.lanes)
+        lanes[4 * 7 + 3] = 31  # block 7 keeps its order but not its sum
+        b = (*fam.blocks[7][:3], 31)
+        with pytest.raises(FamilyError) as exc:
+            BlockFamily._from_lanes("U", 5, 4, bytes(lanes), alpha=1)
+        assert str(exc.value) == f"block {b} violates the U predicate"
 
     def test_predicates_require_their_parameters(self):
         for kind in ("I", "J", "L", "U"):
@@ -731,3 +774,51 @@ class TestLaneCheck:
         assert len(fam) == 1 and len(fam.blocks[0]) == 65534
         assert family_predicate("L", 16, 65534, alpha=1)(fam.blocks[0])
         assert time.perf_counter() - start < 10
+
+
+def _lift_sizes_within_the_default_budget():
+    """Every k that gdd_blocks reaches under the default budget, at some
+    ambient exponent: its whole charge, the zero-sum search over the
+    2^m - 1 base points and 2^(k-1) lifted blocks per base, fits."""
+    sizes = set()
+    for m in range(3, 17):
+        n = 2**m - 1
+        # 2^(k-1) > the budget from k = 28 on, whatever the base count.
+        for k in range(3, min(n - 3, 27) + 1):
+            search = comb(n, k - 1) - 1 + comb(n - 1, k - 1)
+            if search + (hamming_weight_count(m, k) << (k - 1)) <= blocks_module.DEFAULT_NODE_BUDGET:
+                sizes.add(k)
+    return sorted(sizes)
+
+
+class TestSortingNetwork:
+    def test_reachable_sizes(self):
+        sizes = _lift_sizes_within_the_default_budget()
+        assert sizes == list(range(3, 13))
+        gdd_blocks(5, 12, 1)  # k = 12 at ambient 5 fits
+        with pytest.raises(BudgetExceededError):
+            gdd_blocks(6, 9, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, *_lift_sizes_within_the_default_budget(), 16])
+    def test_sorts_every_zero_one_vector(self, k):
+        # The 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4): a comparator
+        # network sorts every input iff it sorts every 0/1 input. One lane
+        # per 0/1 vector, so the network runs as gdd_blocks runs it.
+        pairs = blocks_module._sorting_network(k)
+        assert all(0 <= i < j < k for i, j in pairs)
+        n = 2**k
+        cols = [int.from_bytes(bytes(v >> j & 1 for v in range(n)), "little") for j in range(k)]
+        blocks_module._sort_lanes(cols, pairs, n, 8)
+        lanes = [c.to_bytes(n, "little") for c in cols]
+        for v in range(n):
+            ones = v.bit_count()
+            assert [lane[v] for lane in lanes] == [0] * (k - ones) + [1] * ones
+
+    def test_sorts_wide_lanes(self):
+        rng = random.Random(8)
+        for k in (3, 6, 7, 12):
+            rows = [rng.sample(range(1, 2**17), k) for _ in range(200)]
+            cols = [sum(row[j] << (32 * i) for i, row in enumerate(rows)) for j in range(k)]
+            blocks_module._sort_lanes(cols, blocks_module._sorting_network(k), len(rows), 32)
+            got = [[c >> (32 * i) & (2**32 - 1) for c in cols] for i in range(len(rows))]
+            assert got == [sorted(row) for row in rows]

@@ -41,3 +41,40 @@ def test_runtime_imports_only_the_standard_library(path):
 def test_oracles_do_not_import_the_package():
     names = _absolute_imports(ROOT / "tests" / "helpers.py")
     assert [n for n in names if n.split(".")[0] == "design_forge"] == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Modules of the package that the file imports, relatively or by name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level:
+                names.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("design_forge."):
+                names.add(node.module.split(".")[1])
+            elif node.module == "design_forge":
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("design_forge.")
+            )
+    return names
+
+
+ROUTES = ("blocks", "designs", "params")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_the_three_routes_import_nothing_from_one_another(route):
+    path = ROOT / "src" / "design_forge" / f"{route}.py"
+    assert _package_imports(path) & set(ROUTES) == set()
+
+
+def test_route_imports_are_seen():
+    # The reader above does see a route importing another.
+    assert _package_imports(ROOT / "src" / "design_forge" / "cli.py") >= set(ROUTES)
+    assert "blocks" in _package_imports(ROOT / "src" / "design_forge" / "witness.py")

@@ -97,6 +97,31 @@ class TestEnumerate:
         assert proc.returncode == 2
 
 
+# SHA-256 of `enumerate` stdout, one family of each kind. U at --m 8 holds
+# 32-bit lanes (ambient 9), and U at --m 5 --k 5 runs past one 65,536-block
+# chunk. Recorded before blocks were held packed, so any change to their
+# bytes is a change of behaviour.
+ENUMERATE_DIGESTS = {
+    "W 5 5": "cb735cabc05ccd0962741155de94426c3070e96547d41484c935589fd9b112e7",
+    "Wpair 5 5 --i 3 --j 17": "6c067764044723aca7693f2c47a905b8be2663410e29a817237f82fcc9aad7b2",
+    "I 5 4 --alpha 9": "6e8e6c218971d23c132fab0506f62cfa0914c45f44a003e110a34e7ce6cfc9d8",
+    "J 5 4 --alpha 6": "94a46e5ee15d03df3793754134ad5caa75b3616b141bd5fb346a32d1f6bf8fb6",
+    "L 5 6 --alpha 3": "3f12f3d802a113265c726a0492be507bbc8cc1e0a5652613b2f73df7754304bd",
+    "U 4 5 --alpha 11": "9288c7d32501ca41ca845e62f3398333a6988d606fa988fd0fe86d439313dc48",
+    "U 8 2 --alpha 300": "6f7d2bac2db75d51a50ed9054ec3e19e71c7fb2e09b3dee8ff45903687ebb549",
+    "U 8 3 --alpha 257": "2af97af09b8e5b2902cea70d770b566be423fbca26bf232c3ddae084e848251c",
+    "U 5 5 --alpha 1": "5f07f8dd3a336a465c90681be5b66673364988272b65ea99997f72ac7b990cc8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATE_DIGESTS))
+def test_golden_enumerate_digest(case):
+    family, m, k, *rest = case.split()
+    proc = run_cli(["enumerate", "--family", family, "--m", m, "--k", k, *rest])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == ENUMERATE_DIGESTS[case]
+
+
 # SHA-256 of `params --m m` stdout. The table holds exact integers only,
 # so any change to its bytes is a change of behaviour.
 PARAMS_DIGESTS = {
@@ -328,6 +353,37 @@ class TestUsage:
         assert cli.main(["params", "--m", "6", "--out", str(fallback)]) == 0
         capsys.readouterr()
         assert fallback.read_bytes() == normal.read_bytes()
+
+    @pytest.mark.parametrize("command", [["params", "--m", "5"], ["export", "--m", "4", "--k", "4"]])
+    def test_failure_while_streaming_leaves_the_old_file(self, monkeypatch, tmp_path, capsys, command):
+        # Rows are made while they are written; one that fails part way
+        # leaves --out as it was and no temporary file behind.
+        out = tmp_path / "out.txt"
+        out.write_text("old")
+        real_dumps, real_reference = cli.json.dumps, params.reference_gdd_balance
+        calls = []
+
+        def failing(real):
+            def wrapped(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise RuntimeError("failed part way")
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli.json, "dumps", failing(real_dumps))
+        monkeypatch.setattr(params, "reference_gdd_balance", failing(real_reference))
+        assert cli.main([*command, "--out", str(out)]) == 4
+        assert "failed part way" in capsys.readouterr().err
+        assert out.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_streamed_text_counts_what_was_written(self, capsys):
+        text = cli._csv_text([["a", "bc"], ["d"]])
+        assert len(text) == 0
+        cli._write_output(text, None)
+        assert capsys.readouterr().out == "a,bc\r\nd\r\n"
+        assert len(text) == 9
 
     def test_crosscheck_checks_m_range_before_any_work(self):
         for span in ("3..17", "16..17", "2..4"):

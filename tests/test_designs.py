@@ -292,3 +292,130 @@ class TestObservedParams:
         assert (v, b, r, lam) == (15, 105, 28, 6)
         assert r * 3 == lam * 14
         assert b * 4 == v * r
+
+
+def _outcome(verify, *args):
+    """A report, or the type and message of what the call raised."""
+    try:
+        return verify(*args)
+    except Exception as exc:  # noqa: BLE001 - every error is compared
+        return type(exc), str(exc)
+
+
+def _first_defect(items, points, noun="block"):
+    """The error of the first defective item, found item by item: another
+    size than the first item's, a repeated point, a point outside."""
+    size = len(items[0])
+    for item in items:
+        if len(item) != size:
+            return ShapeError, f"expected uniform {noun} size {size}, found {len(item)}"
+        if len(set(item)) != size:
+            return ShapeError, f"{noun} {tuple(item)} repeats a point"
+        for x in item:
+            if x not in set(points):
+                return ContainmentError, f"{noun} {tuple(item)} uses point {x} outside the point set"
+    return None
+
+
+# Faults planted into one block of a valid design, as functions of the
+# block and the size of the field.
+_BLOCK_FAULTS = {
+    "short": lambda b, top: b[:-1],
+    "long": lambda b, top: (*b, b[0]),
+    "repeat": lambda b, top: (b[0], b[0], *b[2:]),
+    "negative": lambda b, top: (-1, *b[1:]),
+    "top": lambda b, top: (*b[:-1], top),
+    "float-of-a-point": lambda b, top: (float(b[0]), *b[1:]),
+    "float-repeat": lambda b, top: (b[0], float(b[0]), *b[2:]),
+    "float": lambda b, top: (b[0] + 0.5, *b[1:]),
+    "string": lambda b, top: (*b[:-1], "x"),
+    "string-repeat": lambda b, top: ("x", "x", *b[2:]),
+    "unhashable": lambda b, top: (*b[:-1], [1]),
+    "not-a-block": lambda b, top: 5,
+}
+
+
+class TestInputForms:
+    """A family, a list and a generator of the same blocks give identical
+    reports and errors in both incidence forms."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["bibd-4-4", "bibd-8-3", "gdd-5-4-19", "gdd-6-3-37", "bibd-4-4-escaping",
+         "gdd-5-4-19-escaping"],
+    )
+    def test_clean_input(self, incidence_form, case):
+        kind, *args = case.split("-")
+        if kind == "bibd":
+            fam = zero_sum_blocks(int(args[0]), int(args[1]))
+            points = range(1, 8) if "escaping" in args else range(1, 2 ** fam.m)
+            group_forms = [None]
+        else:
+            ambient, k, alpha = map(int, args[:3])
+            fam = gdd_blocks(ambient, k, alpha)
+            # Escaping: a block with one point outside, 31, and none other.
+            points = lifted_points(ambient, alpha)[: -1 if "escaping" in args else None]
+            groups = gdd_groups(ambient, alpha)
+            if "escaping" in args:
+                groups = [g for g in groups if set(g) <= set(points)]
+            group_forms = [lambda: groups, lambda: list(groups), lambda: iter(list(groups))]
+        blocks = list(fam)
+        got = []
+        for make_groups in group_forms:
+            for form in (lambda: fam, lambda: blocks, lambda: iter(blocks), lambda: tuple(blocks)):
+                if make_groups is None:
+                    got.append(_outcome(verify_bibd, points, form()))
+                else:
+                    got.append(_outcome(verify_gdd, points, make_groups(), form()))
+        assert got == got[:1] * len(got)
+        if "escaping" in args:
+            assert got[0] == _first_defect(blocks, points)
+        else:
+            assert got[0].passed
+
+    @pytest.mark.parametrize("fault", sorted(_BLOCK_FAULTS))
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_planted_fault(self, incidence_form, fault, where):
+        fam = gdd_blocks(5, 4, 19)
+        points, groups = lifted_points(5, 19), gdd_groups(5, 19)
+        blocks = list(fam)
+        pos = {"first": 0, "middle": len(blocks) // 2, "last": len(blocks) - 1}[where]
+        blocks[pos] = _BLOCK_FAULTS[fault](blocks[pos], 32)
+        got = _outcome(verify_gdd, points, groups, blocks)
+        assert _outcome(verify_gdd, points, groups, iter(blocks)) == got
+        if fault == "float-of-a-point":  # 1.0 == 1: the same point
+            assert got == verify_gdd(points, groups, fam)
+        elif fault == "unhashable":
+            assert got == (TypeError, "unhashable type: 'list'")
+        elif fault == "not-a-block":
+            assert got == (TypeError, "object of type 'int' has no len()")
+        else:
+            assert got == _first_defect(blocks, points)
+
+    def test_the_first_of_two_faults_is_named(self, incidence_form):
+        fam = zero_sum_blocks(5, 4)
+        blocks = list(fam)
+        for early, late in (("repeat", "short"), ("top", "repeat"), ("string", "negative")):
+            planted = list(blocks)
+            planted[10] = _BLOCK_FAULTS[early](blocks[10], 32)
+            planted[-3] = _BLOCK_FAULTS[late](blocks[-3], 32)
+            got = _outcome(verify_bibd, range(1, 32), planted)
+            assert got == _first_defect(planted, range(1, 32))
+
+    @pytest.mark.parametrize(
+        "groups,error",
+        [
+            ([(2, 3), (4, 4)], (PartitionError, "group (4, 4) repeats a point")),
+            ([(2, 3), (4, 9)], (ContainmentError, "group (4, 9) uses point 9 outside the point set")),
+            ([(2, 3), (4, 5, 6)], (ShapeError, "expected uniform group size 2, found 3")),
+            ([(2, 3), (4.0, 5)], None),
+        ],
+    )
+    def test_group_faults(self, groups, error):
+        points = [2, 3, 4, 5]
+        got = _outcome(verify_gdd, points, groups, [(2, 4), (3, 5)])
+        assert got == _outcome(verify_gdd, points, iter(groups), [(2, 4), (3, 5)])
+        if error is None:
+            assert got.partition_ok
+        else:
+            assert got == error
