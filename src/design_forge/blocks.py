@@ -133,10 +133,6 @@ def _nonzero(x: int, low: int, guard: int) -> int:
     return ((x & low) + low | x) & guard
 
 
-def _first_lane(mask: int, width: int) -> int | None:
-    return ((mask & -mask).bit_length() - 1) // width if mask else None
-
-
 def _sorting_network(k: int) -> list[tuple[int, int]]:
     """Batcher's odd-even merge sort (1968) on k inputs, as the pairs
     (i, j), i < j, to compare-exchange in order. Comparators that would
@@ -176,13 +172,13 @@ class _Rule:
     """The membership rule of one family, checked on lane-packed blocks.
 
     n blocks of k points unpack into k column ints, column j holding point
-    j of block i in lane i, and one flat int with one lane per point.
-    Lanes are a byte while 2^m <= 128, else 32 bits; the top bit of each
-    lane is its guard, clear in every allowed point. Each fact is a few
-    big-int operations over all lanes, and its failing lanes are a mask
-    of guard bits:
-      points   a lane of the flat int with a bit m and up set, or zero,
-               or (I, J, U) equal to alpha
+    j of block i in lane i. Lanes are a byte while 2^m <= 128, else 32
+    bits; the top bit of each lane is its guard, clear in every allowed
+    point. Each fact is a few big-int operations over all lanes, and its
+    failing lanes are a mask with a bit set in each:
+      points   a lane of some column with a bit m and up set, or zero, or
+               (I, J, U) equal to alpha; an int outside the lanes, which
+               only a predicate's own points can be, has such a bit too
       XOR-sum  a nonzero lane of the columns' XOR with the target
       order    the guard of (column j-1 | guard) - (column j & low), set
                where point j-1 >= point j; no borrow leaves a lane
@@ -221,41 +217,36 @@ class _Rule:
         self.masks: dict[int, tuple] = {}
 
     def _masks(self, n: int) -> tuple:
-        """Lane constants for n blocks: guard and low bits of the block
-        lanes, then target, alpha and pair points in every lane; guard and
-        low bits of the point lanes, then the bits m and up and alpha in
-        every lane (0 where alpha is allowed)."""
-        w, alpha = self.width, self.alpha or 0
-        ones, flat_ones = _ones(n, w), _ones(n * self.k, w)
-        guard, flat_guard = ones << (w - 1), flat_ones << (w - 1)
+        """Lane constants for n lanes: guard bits, low bits, every bit but
+        the low m of each lane, then target, alpha and pair points in every
+        lane."""
+        w = self.width
+        ones = _ones(n, w)
+        guard = ones << (w - 1)
         masks = self.masks[n] = (
-            (guard, guard - ones, ones * (self.target or 0), ones * alpha,
-             [ones * x for x in self.pair]),
-            (flat_guard, flat_guard - flat_ones, flat_ones * ((1 << w) - (1 << self.m)),
-             flat_ones * alpha if self.kind in ("I", "J", "U") else 0),
+            guard, guard - ones, ~(ones * ((1 << self.m) - 1)), ones * (self.target or 0),
+            ones * (self.alpha or 0), [ones * x for x in self.pair],
         )
         return masks
 
-    def bad_points(self, flat: int, n: int) -> int:
-        """The guard bits of the lanes of n blocks' points, packed into one
-        int in point order, that lie outside the allowed set."""
-        flat_guard, flat_low, high, flat_alpha = (self.masks.get(n) or self._masks(n))[1]
-        ok = _nonzero(flat, flat_low, flat_guard)
-        if flat_alpha:
-            ok &= _nonzero(flat ^ flat_alpha, flat_low, flat_guard)
-        return flat & high | ok ^ flat_guard
-
-    def bad_blocks(self, cols: list[int], n: int, block: Callable[[int], Block], ordered: bool) -> int:
-        """The guard bits of the lanes of n blocks, packed into columns,
-        that fail the XOR-sum, the set condition or, with `ordered`, the
-        order; `block(i)` is block i, for the set test on each block."""
+    def bad_blocks(self, cols: list, n: int, block: Callable[[int], Block], ordered: bool) -> int:
+        """The failing lanes of n blocks, packed into columns: a point
+        outside the allowed set, the XOR-sum, the set condition or, with
+        `ordered`, the order; `block(i)` is block i, for the set test on
+        each block."""
         k = self.k
-        guard, low, target, alpha, pair = (self.masks.get(n) or self._masks(n))[0]
+        guard, low, high, target, alpha, pair = self.masks.get(n) or self._masks(n)
         bad = 0
         if ordered:
             for a, b in zip(cols, cols[1:]):
                 bad |= (a | guard) - (b & low)
             bad &= guard
+        avoid = self.kind in ("I", "J", "U")
+        for c in cols:
+            ok = _nonzero(c, low, guard)
+            if avoid:
+                ok &= _nonzero(c ^ alpha, low, guard)
+            bad |= c & high | ok ^ guard
         if self.target is not None:
             bad |= _nonzero(reduce(xor, cols, target), low, guard)
         for x in pair:
@@ -285,16 +276,9 @@ class _Rule:
     def first_bad(self, lanes: bytes, n: int) -> int | None:
         """The index of the first of n packed blocks that is not a
         strictly increasing member, or None."""
-        if not n:
-            return None
-        k, w, size = self.k, self.width, self.size
-        flat = int.from_bytes(_unpack(lanes, size, "little"), "little")
-        firsts = (
-            _first_lane(self.bad_blocks(_columns(lanes, k, size), n,
-                                        lambda i: _block_at(lanes, k, size, i), True), w),
-            _first_lane(self.bad_points(flat, n), w * k),
-        )
-        return min((i for i in firsts if i is not None), default=None)
+        k, size = self.k, self.size
+        bad = self.bad_blocks(_columns(lanes, k, size), n, lambda i: _block_at(lanes, k, size, i), True)
+        return ((bad & -bad).bit_length() - 1) // self.width if bad else None
 
 
 def family_predicate(
@@ -318,22 +302,19 @@ def family_predicate(
                       each coset {x, x + alpha} at most once; not at
                       k = 2, where U (the groups) is I at k = 2: the
                       pairs {x, x + alpha}
-    The test is `BlockFamily`'s lane-packed check on a one-block pack,
-    without the order test: it takes the points in any order, and a
-    repeated point counts once in the set condition.
+    The test is `BlockFamily`'s lane-packed check with each point as a
+    one-lane column, without the order test: it takes the points in any
+    order, and a repeated point counts once in the set condition.
     """
     rule = _Rule(kind, m, k, alpha, pair)
-    size = rule.size
 
     def pred(b: Block) -> bool:
         if len(b) != k:
             return False
-        packed = _pack(b, size)
-        return (
-            packed is not None
-            and not rule.bad_points(int.from_bytes(_unpack(packed, size, "little"), "little"), 1)
-            and not rule.bad_blocks(list(_unpack(packed, size, sys.byteorder)), 1, lambda i: b, False)
-        )
+        try:
+            return not rule.bad_blocks(list(b), 1, lambda i: b, False)
+        except TypeError:  # a point that is not an int
+            return False
 
     return pred
 
@@ -354,14 +335,14 @@ class BlockFamily:
     order given (the enumerators give them sorted). Since the lanes have
     one width, that order is the order of each block's bytes, and
     membership tests are binary searches on them. Iteration builds the
-    block tuples at C speed; `blocks` builds all of them on access.
+    block tuples at C speed.
 
     Construction re-checks every member against the family's rule, so a
-    BlockFamily in hand is always internally consistent. The check runs
-    lane-packed over chunks of 65,536 blocks, so its scratch memory does
-    not grow with the family: the first failing lane names the first bad
-    block, which raises FamilyError saying it is not strictly increasing
-    or, failing that, that it violates the predicate.
+    BlockFamily in hand is always internally consistent. The check reads
+    the lanes of 65,536 blocks at a time as k column ints, so its scratch
+    memory does not grow with the family: the first failing lane names the
+    first bad block, which raises FamilyError saying it is not strictly
+    increasing or, failing that, that it violates the predicate.
     """
 
     kind: str
@@ -373,21 +354,18 @@ class BlockFamily:
 
     def __init__(self, kind: str, m: int, k: int, blocks, alpha=None, pair=None):
         """Pack `blocks`, a sequence of k-tuples, and check them. A block
-        of another size, or with a point that fits no lane, fails."""
+        of another size, or with a point that fits no lane, fails once
+        every block before it has passed."""
         rule = _Rule(kind, m, k, alpha, pair)
-        parts, unpackable = [], None
-        for start in range(0, len(blocks), _CHUNK):
-            chunk = blocks[start : start + _CHUNK]
-            packed = _pack(chain.from_iterable(chunk), rule.size)
-            if packed is None or set(map(len, chunk)) != {k}:
-                bad = next(j for j, b in enumerate(chunk) if len(b) != k or _pack(b, rule.size) is None)
-                parts.append(_pack(chain.from_iterable(chunk[:bad]), rule.size))
-                unpackable = start + bad
-                break
-            parts.append(packed)
-        n = len(blocks) if unpackable is None else unpackable
-        self._fill(kind, m, k, b"".join(parts), alpha, pair, n)
-        self.__post_init__(rule, blocks, unpackable)
+        n, size = len(blocks), rule.size
+        lanes = _pack(chain.from_iterable(blocks), size)
+        if lanes is None or set(map(len, blocks)) - {k}:
+            n = next(i for i, b in enumerate(blocks) if len(b) != k or _pack(b, size) is None)
+            lanes = _pack(chain.from_iterable(blocks[:n]), size)
+        self._fill(kind, m, k, lanes, alpha, pair, n)
+        self.__post_init__(rule, blocks)
+        if n < len(blocks):
+            raise _block_error(blocks[n], kind)
 
     @classmethod
     def _from_lanes(cls, kind: str, m: int, k: int, lanes: bytes, alpha=None, pair=None):
@@ -403,34 +381,22 @@ class BlockFamily:
                             ("alpha", alpha), ("pair", pair), ("_n", n)):
             object.__setattr__(self, name, value)
 
-    def __post_init__(self, rule: _Rule, given=None, unpackable: int | None = None) -> None:
+    def __post_init__(self, rule: _Rule, given=None) -> None:
         """Re-validate: check the packed blocks chunk by chunk, and raise
-        for the first bad one, or else for block `unpackable` of `given`,
-        the first that could not be packed. Messages show the block as
-        given, else as unpacked."""
+        for the first bad one, shown as in `given`, else as unpacked."""
         n, width = self._n, self.k * rule.size
         for start in range(0, n, _CHUNK):
             stop = min(n, start + _CHUNK)
             bad = rule.first_bad(self.lanes[start * width : stop * width], stop - start)
             if bad is not None:
                 bad += start
-                break
-        else:
-            if unpackable is None:
-                return
-            bad = unpackable
-        b = _block_at(self.lanes, self.k, rule.size, bad) if given is None else given[bad]
-        raise _block_error(b, self.kind)
+                b = _block_at(self.lanes, self.k, rule.size, bad) if given is None else given[bad]
+                raise _block_error(b, self.kind)
 
     @property
     def lane_size(self) -> int:
         """Bytes per lane of `lanes`."""
         return _lane_size(self.m)
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        """Every block as a tuple, built on access: n k-tuples of ints."""
-        return tuple(self)
 
     def __len__(self) -> int:
         return self._n

@@ -170,7 +170,8 @@ def _enumerate_family(args, budget: int) -> blocks.BlockFamily:
 
 def _jsonl_text(family: blocks.BlockFamily) -> _Text:
     fields = {"m": family.m, "k": family.k, "family": family.kind, "alpha": family.alpha}
-    return _Text(json.dumps({**fields, "block": list(block)}) + "\n" for block in family)
+    head = json.dumps({**fields, "block": []})[:-3]  # the record up to its block
+    return _Text(f"{head}{json.dumps(block)}}}\n" for block in family)
 
 
 def cmd_enumerate(args) -> int:
@@ -199,35 +200,40 @@ def _read_jsonl_blocks(
     """Re-ingest exported blocks; the engine accepts any well-formed design
     whose records name the expected field, block size, family and shift."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                block = tuple(obj["block"])
-                if set(map(type, block)) - {int}:  # a float, string or bool
-                    raise TypeError
-            except (ValueError, KeyError, TypeError):
-                raise ArgumentError(f"{path}:{n}: not a block record") from None
-            if obj.get("m") != expect_m:
-                raise ArgumentError(
-                    f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})"
-                )
-            if obj.get("k") != expect_k:
-                raise ArgumentError(
-                    f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
-                )
-            if obj.get("family") != expect_family:
-                raise ArgumentError(
-                    f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
-                )
-            if obj.get("alpha") != expect_alpha:
-                raise ArgumentError(
-                    f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
-                )
-            out.append(block)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    block = tuple(obj["block"])
+                    if set(map(type, block)) - {int}:  # a float, string or bool
+                        raise TypeError
+                except (ValueError, KeyError, TypeError):
+                    raise ArgumentError(f"{path}:{n}: not a block record") from None
+                if obj.get("m") != expect_m:
+                    raise ArgumentError(
+                        f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})"
+                    )
+                if obj.get("k") != expect_k:
+                    raise ArgumentError(
+                        f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
+                    )
+                if len(block) != expect_k:
+                    raise ArgumentError(f"{path}:{n}: block of {len(block)} points, expected {expect_k}")
+                if obj.get("family") != expect_family:
+                    raise ArgumentError(
+                        f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
+                    )
+                if obj.get("alpha") != expect_alpha:
+                    raise ArgumentError(
+                        f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
+                    )
+                out.append(block)
+    except UnicodeDecodeError:
+        raise ArgumentError(f"{path}: not UTF-8 text") from None
     return out
 
 
@@ -367,10 +373,12 @@ def cmd_crosscheck(args) -> int:
             mismatches.append([str(m), str(k), check, "lambda", str(ol), str(el)])
 
     for m in range(m_lo, m_hi + 1):
-        table = params.param_table(m)
+        table = None
         top = (1 << m) - 4
         for k in range(max(k_lo, 3), min(k_hi, top) + 1):
             family = blocks.zero_sum_blocks(m, k, budget)
+            # Only once a search fits its budget: from m = 16 the table takes seconds.
+            table = table or params.param_table(m)
             report = designs.verify_bibd(range(1, 1 << m), family)
             observed_lambda = (
                 next(iter(report.lambda_histogram)) if report.passed else "unbalanced"

@@ -123,12 +123,13 @@ def _family_lanes(family, index: dict):
 
 
 def _item_lanes(items, size: int, index: dict, noun: str, repeat_error):
-    """Point indices of a plain sequence's items, item after item. On any
-    defect, the first defective item raises its own error."""
+    """Point indices of a plain sequence's items, item after item, with
+    len(index) for a point outside the point set. On an item of another
+    size or an unhashable point, the first defective item raises."""
     try:
         if set(map(len, items)) == {size}:
-            return _index_lanes(map(index.__getitem__, chain.from_iterable(items)), len(index))
-    except (KeyError, TypeError):
+            return _index_lanes(map(index.get, chain.from_iterable(items), repeat(len(index))), len(index))
+    except TypeError:
         pass
     for item in items:
         _check_item(item, size, index, noun, repeat_error)

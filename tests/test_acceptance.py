@@ -146,7 +146,7 @@ def test_criterion_6_replacement_map_property_suite():
         i, j, ell = rng.sample(range(1, 2**m), 3)
         ordering = natural_ordering(j ^ ell, m)
         domain = zero_sum_blocks_containing(m, k, i, j)
-        codomain = set(zero_sum_blocks_containing(m, k, i, ell).blocks)
+        codomain = set(zero_sum_blocks_containing(m, k, i, ell))
         try:
             images = [replace_point_map(b, i, j, ell, ordering) for b in domain]
         except MapViolationError as exc:

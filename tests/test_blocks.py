@@ -169,7 +169,7 @@ class TestSearchBudget:
 class TestZeroSumBlocksContaining:
     def test_unique_triple(self):
         fam = zero_sum_blocks_containing(3, 3, 1, 2)
-        assert fam.blocks == ((1, 2, 3),)
+        assert tuple(fam) == ((1, 2, 3),)
 
     def test_known_sizes(self):
         assert len(zero_sum_blocks_containing(4, 4, 1, 2)) == 6
@@ -286,7 +286,7 @@ class TestGddBlocks:
 class TestGddGroups:
     def test_ambient_16_shift_one(self):
         fam = gdd_groups(4, 1)
-        assert fam.blocks == ((2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15))
+        assert tuple(fam) == ((2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15))
 
     def test_count_ambient_32(self):
         assert len(gdd_groups(5, 9)) == 15
@@ -362,7 +362,7 @@ class TestReplacePointMap:
                             continue
                         o = natural_ordering(j ^ ell, 3)
                         dom = families[(i, j)]
-                        cod = set(families[(i, ell)].blocks)
+                        cod = set(families[(i, ell)])
                         images = {replace_point_map(b, i, j, ell, o) for b in dom}
                         assert images == cod
 
@@ -383,7 +383,7 @@ class TestReplacePointMap:
         natural = natural_ordering(2 ^ 4, 4)
         reverse = natural.reversed()
         dom = zero_sum_blocks_containing(4, 4, 1, 2)
-        cod = set(zero_sum_blocks_containing(4, 4, 1, 4).blocks)
+        cod = set(zero_sum_blocks_containing(4, 4, 1, 4))
         for ordering in (natural, reverse):
             images = {replace_point_map(b, 1, 2, 4, ordering) for b in dom}
             assert images == cod
@@ -408,7 +408,7 @@ class TestReplacePointMap:
             i, j, ell = rng.sample(range(1, 16), 3)
             o = natural_ordering(j ^ ell, 4)
             dom = zero_sum_blocks_containing(4, k, i, j)
-            cod = set(zero_sum_blocks_containing(4, k, i, ell).blocks)
+            cod = set(zero_sum_blocks_containing(4, k, i, ell))
             try:
                 images = {replace_point_map(b, i, j, ell, o) for b in dom}
             except MapViolationError:
@@ -426,7 +426,7 @@ class TestShiftRepresentative:
         fam_i = sum_to_shift_blocks(3, 3, 1)
         images = {shift_representative(b, 1, 3, o) for b in fam_i}
         assert len(images) == len(fam_i)
-        assert images == set(sum_to_zero_blocks(3, 3, 1).blocks)
+        assert images == set(sum_to_zero_blocks(3, 3, 1))
 
     def test_shift_invariant_blocks_have_no_representative(self):
         o = natural_ordering(1, 3)
@@ -436,10 +436,10 @@ class TestShiftRepresentative:
     def test_k0_mod4_bijects_onto_the_difference(self):
         o = natural_ordering(5, 4)
         fam_i, fam_j, fam_l = (build(4, 4, 5) for build in SHIFTED_BUILDERS)
-        fixed = set(fam_l.blocks)
+        fixed = set(fam_l)
         images = {shift_representative(b, 5, 4, o) for b in fam_i}
         assert len(images) == len(fam_i)
-        assert images == set(fam_j.blocks) - fixed
+        assert images == set(fam_j) - fixed
 
     def test_image_sum_shifts_by_alpha(self):
         o = natural_ordering(3, 4)
@@ -494,7 +494,7 @@ class TestFamilyPlumbing:
     def test_lanes_hold_the_blocks_in_order(self, fam):
         assert len(fam.lanes) == len(fam) * fam.k * fam.lane_size
         assert fam.lane_size == (1 if fam.m < 8 else 4)
-        blocks = fam.blocks
+        blocks = tuple(fam)
         assert blocks == tuple(fam) == tuple(sorted(blocks))
         assert all(type(b) is tuple and all(type(x) is int for x in b) for b in blocks)
         width = fam.k * fam.lane_size
@@ -508,7 +508,7 @@ class TestFamilyPlumbing:
         fam = gdd_blocks(5, 4, 1)
         lanes = bytearray(fam.lanes)
         lanes[4 * 7 + 3] = 31  # block 7 keeps its order but not its sum
-        b = (*fam.blocks[7][:3], 31)
+        b = (*tuple(fam)[7][:3], 31)
         with pytest.raises(FamilyError) as exc:
             BlockFamily._from_lanes("U", 5, 4, bytes(lanes), alpha=1)
         assert str(exc.value) == f"block {b} violates the U predicate"
@@ -587,6 +587,18 @@ class TestPredicateOracles:
                     assert not pred(b[:-1] + (size,)), b
                     assert not pred((-1,) + b[1:]), b
 
+    @pytest.mark.parametrize("m", [3, 8], ids=["bytes", "wide"])
+    def test_predicate_rejects_points_that_fit_no_lane(self, m):
+        # The predicate reads the points as given, one lane each: an int
+        # past the lane or below 0 with allowed low bits is no member.
+        pred = family_predicate("W", m, 3)
+        assert pred((1, 2, 3)) and pred([3, True, 2])
+        for shift in (8, 32, 40):
+            for last in (3 + (1 << shift), 3 - (1 << shift)):
+                assert not pred((1, 2, last)) and not pred((last, 1, 2)), last
+        for last in (3.0, "3", None, [3]):
+            assert not pred((1, 2, last))
+
     @pytest.mark.parametrize(
         "kind,m,k,alpha,pair,block,message",
         [
@@ -634,7 +646,7 @@ def set_test_form(request, monkeypatch):
 
 def _planted(fam, faults):
     """The family's blocks with each (position, block) of `faults` put in."""
-    blocks = list(fam.blocks)
+    blocks = list(fam)
     for pos, block in faults:
         blocks[pos] = block
     return tuple(blocks)
@@ -676,7 +688,7 @@ class TestLaneCheck:
         pos = {"first": 0, "chunk-end": blocks_module._CHUNK - 1,
                "chunk-start": blocks_module._CHUNK, "last": len(fam) - 1}[where]
         if block is None:
-            b = fam.blocks[pos]
+            b = tuple(fam)[pos]
             block = (b[1], b[0], *b[2:])
         assert _family_error(fam, _planted(fam, [(pos, block)])) == f"block {block} {message}"
 
@@ -700,8 +712,8 @@ class TestLaneCheck:
     )
     def test_wide_lanes(self, fam):
         top = 1 << fam.m
-        assert BlockFamily(fam.kind, fam.m, fam.k, fam.blocks, alpha=fam.alpha).blocks == fam.blocks
-        b = fam.blocks[-1]
+        assert tuple(BlockFamily(fam.kind, fam.m, fam.k, tuple(fam), alpha=fam.alpha)) == tuple(fam)
+        b = tuple(fam)[-1]
         assert b[-1] >= top // 2  # the last block reaches the top bit of m
         out = (*b[:-2], top + b[-2], top + b[-1])  # same XOR-sum and order
         for pos in (0, len(fam) - 1):
@@ -761,7 +773,7 @@ class TestLaneCheck:
     )
     def test_set_condition_over_whole_families(self, set_test_form, build, args, fault):
         fam = build(*args)
-        assert BlockFamily(fam.kind, fam.m, fam.k, fam.blocks, alpha=fam.alpha).blocks == fam.blocks
+        assert tuple(BlockFamily(fam.kind, fam.m, fam.k, tuple(fam), alpha=fam.alpha)) == tuple(fam)
         for pos in (0, len(fam) - 1):
             assert _family_error(fam, _planted(fam, [(pos, fault)])) == (
                 f"block {fault} violates the {fam.kind} predicate"
@@ -771,8 +783,8 @@ class TestLaneCheck:
         # One block of 65,534 points: C(k, 2) column tests would be 2.1e9.
         start = time.perf_counter()
         fam = shift_invariant_blocks(16, 65534, 1)
-        assert len(fam) == 1 and len(fam.blocks[0]) == 65534
-        assert family_predicate("L", 16, 65534, alpha=1)(fam.blocks[0])
+        assert len(fam) == 1 and len(tuple(fam)[0]) == 65534
+        assert family_predicate("L", 16, 65534, alpha=1)(tuple(fam)[0])
         assert time.perf_counter() - start < 10
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -136,6 +137,16 @@ PARAMS_DIGESTS = {
     11: "59df787821039447e88c58e12fc38b4b902c7e126cd311ed8ea6c5e3e486c992",
     12: "21133e8b664ec04ef2ee9b472f0832333587da8fdc321ed79c7acc0b954678ab",
 }
+
+
+def test_export_file_holds_the_enumerate_bytes(tmp_path):
+    # 32-bit lanes and a non-null alpha, written to a file by export.
+    target = tmp_path / "u.jsonl"
+    proc = run_cli(["export", "--family", "U", "--m", "8", "--k", "3", "--alpha", "257",
+                    "--out", str(target)])
+    assert proc.returncode == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == ENUMERATE_DIGESTS["U 8 3 --alpha 257"]
 
 
 class TestParams:
@@ -302,6 +313,34 @@ class TestVerifyRoundTrip:
         assert proc.stdout == b""
         assert proc.stderr.endswith(b":1: not a block record\n")
 
+    @pytest.mark.parametrize(
+        "argv,record",
+        [
+            (["verify-bibd", "--blocks"], {"m": 3, "k": 3, "family": "W", "alpha": None, "block": [1, 2]}),
+            (["verify-gdd", "--alpha", "1", "--blocks"], {"m": 4, "k": 3, "family": "U", "alpha": 1, "block": [2, 4]}),
+            (["verify-gdd", "--alpha", "1", "--groups"], {"m": 4, "k": 2, "family": "U", "alpha": 1, "block": [2]}),
+        ],
+        ids=["bibd-blocks", "gdd-blocks", "gdd-groups"],
+    )
+    def test_record_with_a_short_block_rejected(self, tmp_path, argv, record):
+        # The record's k field is right; its block is one point short.
+        bad = tmp_path / "short.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        proc = run_cli([argv[0], "--m", "3", "--k", "3", *argv[1:], str(bad)])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        k = record["k"]
+        assert proc.stderr == f"error: {bad}:1: block of {k - 1} points, expected {k}\n".encode()
+
+    @pytest.mark.parametrize("flag", ["--blocks", "--groups"])
+    def test_file_that_is_not_utf8_rejected(self, tmp_path, flag):
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(b'{"m": 4, "k": 3, "family": "U", "alpha": 1, "block": [2, 4, 7]} \xe9\n')
+        proc = run_cli(["verify-gdd", "--m", "3", "--k", "3", "--alpha", "1", flag, str(bad)])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {bad}: not UTF-8 text\n".encode()
+
     def test_mismatched_export_rejected(self, tmp_path):
         exported = tmp_path / "w.jsonl"
         run_cli(["export", "--m", "3", "--k", "3", "--out", str(exported)])
@@ -392,6 +431,15 @@ class TestUsage:
             assert proc.stdout == b""
             assert proc.stderr.startswith(b"error: field exponent")
             assert proc.stderr.count(b"\n") == 1
+
+    def test_crosscheck_over_budget_exits_3_before_the_table(self):
+        # The m = 16 table takes seconds; the first search is over budget.
+        start = time.perf_counter()
+        proc = run_cli(["crosscheck", "--m", "16", "--k", "3"])
+        assert time.perf_counter() - start < 3
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     @pytest.mark.parametrize("span", ["1..2", "50..60"])
     def test_crosscheck_rejects_a_k_span_with_no_cell(self, span):

@@ -75,7 +75,7 @@ class TestVerifyBibd:
         assert report.lambda_histogram == {0: 18, 1: 3}
 
     def test_histograms_against_brute_coverage(self):
-        for fam in (zero_sum_blocks(4, 4), zero_sum_blocks(4, 4).blocks[1:]):
+        for fam in (zero_sum_blocks(4, 4), tuple(zero_sum_blocks(4, 4))[1:]):
             report = verify_bibd(range(1, 16), fam)
             cov = pair_coverage(range(1, 16), fam)
             occurrences = Counter(x for b in fam for x in b)
@@ -179,7 +179,7 @@ class TestVerifyGdd:
         points = lifted_points(ambient, alpha)
         groups = gdd_groups(ambient, alpha)
         fam = gdd_blocks(ambient, k, alpha)
-        for blocks, passed in ((fam, True), (fam.blocks[1:], False)):
+        for blocks, passed in ((fam, True), (tuple(fam)[1:], False)):
             report = verify_gdd(points, groups, blocks)
             hist, within, example = brute_gdd_verdict(points, groups, blocks)
             assert report.passed is passed
@@ -225,7 +225,7 @@ class TestIncidenceForms:
         fam = zero_sum_blocks(4, 4)
         for points, blocks in (
             (range(1, 16), fam),
-            (range(1, 16), fam.blocks[1:]),
+            (range(1, 16), tuple(fam)[1:]),
             (range(40), sparse),
         ):
             report = verify_bibd(points, blocks)
@@ -245,7 +245,7 @@ class TestIncidenceForms:
         points = lifted_points(ambient, alpha)
         groups = gdd_groups(ambient, alpha)
         fam = gdd_blocks(ambient, k, alpha)
-        for blocks in (fam, fam.blocks[1:], [fam.blocks[0], fam.blocks[0]]):
+        for blocks in (fam, tuple(fam)[1:], [tuple(fam)[0], tuple(fam)[0]]):
             report = verify_gdd(points, groups, blocks)
             hist, within, example = brute_gdd_verdict(points, groups, blocks)
             assert report.lambda_histogram == hist
