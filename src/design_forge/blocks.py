@@ -334,8 +334,9 @@ class BlockFamily:
     `lane_size` bytes (one while 2^m <= 128, else four), blocks in the
     order given (the enumerators give them sorted). Since the lanes have
     one width, that order is the order of each block's bytes, and
-    membership tests are binary searches on them. Iteration builds the
-    block tuples at C speed.
+    membership tests are binary searches on them. `points` decodes the
+    lanes into ints, the one view the verifier reads, and iteration
+    builds the block tuples from it at C speed.
 
     Construction re-checks every member against the family's rule, so a
     BlockFamily in hand is always internally consistent. The check reads
@@ -401,11 +402,17 @@ class BlockFamily:
     def __len__(self) -> int:
         return self._n
 
+    @property
+    def points(self):
+        """The points of every block in turn, as ints: `lanes` itself while
+        a lane is one byte, else an array("I")."""
+        return _unpack(self.lanes, self.lane_size, sys.byteorder)
+
     def __iter__(self) -> Iterator[Block]:
         k = self.k
         if not k:
             return repeat((), self._n)
-        points = _unpack(self.lanes, self.lane_size, sys.byteorder)
+        points = self.points
         return zip(*(points[j::k] for j in range(k)))
 
     def __contains__(self, block) -> bool:
@@ -504,7 +511,7 @@ def zero_sum_blocks_containing(
     bud = _Budget(budget, f"zero-sum blocks through a pair (m={m}, k={k})")
     ground = tuple(x for x in nonzero_elements(m) if x != i and x != j)
     rest = _xor_subsets(ground, k - 2, i ^ j, bud)
-    blocks = tuple(sorted(tuple(sorted((*r, i, j))) for r in rest))
+    blocks = tuple(tuple(sorted((*r, i, j))) for r in rest)
     return BlockFamily("Wpair", m, k, blocks, pair=(i, j))
 
 
@@ -550,7 +557,7 @@ def shift_invariant_blocks(
         free = cosets_of(alpha, m)[1:]  # all but the subgroup (0, alpha)
         bud.spend(comb(len(free), k // 2))  # one node per block
         combos = combinations(free, k // 2)
-        blocks = tuple(sorted(tuple(sorted(chain.from_iterable(c))) for c in combos))
+        blocks = tuple(tuple(sorted(chain.from_iterable(c))) for c in combos)
     return BlockFamily("L", m, k, blocks, alpha=alpha)
 
 

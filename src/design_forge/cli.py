@@ -86,12 +86,6 @@ def _single(text: str, flag: str) -> int:
     return lo
 
 
-def _resolve_budget(args) -> int:
-    if args.budget <= 0:
-        raise ArgumentError(f"budget must be positive, got {args.budget}")
-    return args.budget
-
-
 class _Text:
     """Output text made piece by piece while it is written, so the whole
     text is never held at once. len() counts the characters made so far,
@@ -140,9 +134,8 @@ def _csv_text(rows) -> _Text:
 # enumerate / export
 
 
-def _enumerate_family(args, budget: int) -> blocks.BlockFamily:
-    m = args.m_single
-    k = _single(args.k, "--k")
+def _enumerate_family(args) -> blocks.BlockFamily:
+    m, k, budget = args.m_single, _single(args.k, "--k"), args.budget
     family = args.family
     if family == "W":
         return blocks.zero_sum_blocks(m, k, budget)
@@ -171,15 +164,14 @@ def _enumerate_family(args, budget: int) -> blocks.BlockFamily:
 def _jsonl_text(family: blocks.BlockFamily) -> _Text:
     fields = {"m": family.m, "k": family.k, "family": family.kind, "alpha": family.alpha}
     head = json.dumps({**fields, "block": []})[:-3]  # the record up to its block
-    return _Text(f"{head}{json.dumps(block)}}}\n" for block in family)
+    return _Text(f"{head}[{', '.join(map(str, block))}]}}\n" for block in family)
 
 
 def cmd_enumerate(args) -> int:
     if args.command == "export" and args.out is None:
         raise ArgumentError("export needs --out; use enumerate to stream to stdout")
-    budget = _resolve_budget(args)
     start = time.perf_counter()
-    family = _enumerate_family(args, budget)
+    family = _enumerate_family(args)
     elapsed = time.perf_counter() - start
     _write_output(_jsonl_text(family), args.out)
     print(
@@ -248,7 +240,7 @@ def cmd_verify_bibd(args) -> int:
     if args.blocks_path:
         block_list = _read_jsonl_blocks(args.blocks_path, m, k, "W", None)
     else:
-        block_list = blocks.zero_sum_blocks(m, k, _resolve_budget(args))
+        block_list = blocks.zero_sum_blocks(m, k, args.budget)
     report = designs.verify_bibd(points, block_list)
     _write_output(_report_json(report), args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
@@ -269,7 +261,7 @@ def cmd_verify_gdd(args) -> int:
     if args.blocks_path:
         block_list = _read_jsonl_blocks(args.blocks_path, ambient, k, "U", alpha)
     else:
-        block_list = blocks.gdd_blocks(ambient, k, alpha, _resolve_budget(args))
+        block_list = blocks.gdd_blocks(ambient, k, alpha, args.budget)
     report = designs.verify_gdd(points, group_list, block_list)
     _write_output(_report_json(report), args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
@@ -336,7 +328,6 @@ def cmd_params(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    budget = _resolve_budget(args)
     m_lo, m_hi = _parse_span(args.m)
     check_exponent(m_lo)
     check_exponent(m_hi)
@@ -360,40 +351,43 @@ def cmd_crosscheck(args) -> int:
     ]
     mismatches: list[list[str]] = []
 
-    def record(m, k, check, ob, eb, ol, el):
-        blocks_ok = str(ob) == str(eb)
-        lambda_ok = str(ol) == str(el)
+    def record(m, k, check, ob, eb, ol, el, *more):
+        # `more`: (field, observed, expected) checked without a column.
+        bad = [
+            [str(m), str(k), check, name, str(o), str(e)]
+            for name, o, e in (("blocks", ob, eb), ("lambda", ol, el), *more)
+            if str(o) != str(e)
+        ]
         out_rows.append(
-            [str(m), str(k), check, str(ob), str(eb), str(ol), str(el),
-             "yes" if blocks_ok and lambda_ok else "no"]
+            [str(m), str(k), check, str(ob), str(eb), str(ol), str(el), "no" if bad else "yes"]
         )
-        if not blocks_ok:
-            mismatches.append([str(m), str(k), check, "blocks", str(ob), str(eb)])
-        if not lambda_ok:
-            mismatches.append([str(m), str(k), check, "lambda", str(ol), str(el)])
+        mismatches.extend(bad)
 
     for m in range(m_lo, m_hi + 1):
         table = None
         top = (1 << m) - 4
         for k in range(max(k_lo, 3), min(k_hi, top) + 1):
-            family = blocks.zero_sum_blocks(m, k, budget)
+            family = blocks.zero_sum_blocks(m, k, args.budget)
             # Only once a search fits its budget: from m = 16 the table takes seconds.
             table = table or params.param_table(m)
             report = designs.verify_bibd(range(1, 1 << m), family)
             observed_lambda = (
                 next(iter(report.lambda_histogram)) if report.passed else "unbalanced"
             )
+            r_values = report.r_histogram
+            observed_r = next(iter(r_values)) if len(r_values) == 1 else "unbalanced"
             record(
                 m, k, "bibd",
                 len(family), table.rows[k].blocks,
                 observed_lambda, table.rows[k].balance,
+                ("replication", observed_r, table.rows[k].replication),
             )
             if args.gdd:
                 ambient = m + 1
                 observed = set()
                 total_blocks = 0
                 for alpha in range(1, 1 << ambient):
-                    fam = blocks.gdd_blocks(ambient, k, alpha, budget)
+                    fam = blocks.gdd_blocks(ambient, k, alpha, args.budget)
                     total_blocks += len(fam)
                     rep = designs.verify_gdd(
                         [x for x in range(1, 1 << ambient) if x != alpha],
@@ -511,6 +505,8 @@ def main(argv=None) -> int:
             args.m_single = (
                 _single(args.m, "--m") if args.command != "crosscheck" else None
             )
+            if getattr(args, "budget", 1) <= 0:
+                raise ArgumentError(f"budget must be positive, got {args.budget}")
         except _USAGE_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -9,11 +9,13 @@ one popcount (O(v^2 * b/64) word operations on v * b bits); above that,
 an array of its blocks' indices, so its row is a count of those blocks'
 points (O(b * k^2) counts on b * k 32-bit entries). Groups are always
 bitsets; a pair is same-group iff its two group bitsets meet, so the
-grouped check is the plain sweep plus that mask. Bitsets are built from
-the items' point indices packed into columns, by bit planes (see
-`_bitset_incidence`), not item by item; a BlockFamily is read through its
-packed lanes, and every item is still checked here for its size, a
-repeated point and a point outside the point set. Reports keep the full
+grouped check is the plain sweep plus that mask. Every collection, a
+BlockFamily through its `points` or any iterable of items, first becomes
+one array of point indices, item after item (see `_indices`), and both
+forms are built from it, bitsets by bit planes of its columns (see
+`_bitset_incidence`). Each form flags the first item with a repeated or
+outside point, and that item is checked here for its size, a repeated
+point and a point outside the point set. Reports keep the full
 histograms so near-misses stay diagnosable, and the first counterexample
 is deterministic (smallest failing pair in lexicographic order).
 """
@@ -71,17 +73,6 @@ class GddReport(DesignReport):
     cross_group_lambda: int | None
 
 
-def _items(collection, empty: str):
-    """(items, item size) of a collection of blocks or groups: a family as
-    it is, anything else as a sequence. No item raises ShapeError(empty)."""
-    family = hasattr(collection, "lanes")
-    if not (family or isinstance(collection, (list, tuple))):
-        collection = list(collection)
-    if not len(collection):
-        raise ShapeError(empty)
-    return collection, collection.k if family else len(collection[0])
-
-
 def _check_item(item, size: int, index: dict, noun: str, repeat_error) -> None:
     """Raise for the first defect of one item, checked in this order:
     another size, a repeated point, a point outside the point set."""
@@ -96,43 +87,45 @@ def _check_item(item, size: int, index: dict, noun: str, repeat_error) -> None:
             )
 
 
-def _index_lanes(points, v: int):
-    """Point indices as lanes: bytes while every index, and v, fits one."""
-    return bytes(points) if v < 256 else array("I", points)
+def _indices(collection, index: dict, noun: str, repeat_error, empty: str, small=None):
+    """(point indices, item count, item size, fail(j)) of a collection of
+    blocks or groups: the index of every item's points in turn, len(index)
+    for a point outside the point set, and fail(j), which raises the first
+    defect of item j.
 
+    A family gives its `points` and `k`. Anything else is made a sequence;
+    if its items do not all have the first one's size, or one holds an
+    unhashable point, they are checked in order and the first defective
+    one raises. No item raises ShapeError(empty), and items of fewer than
+    two points raise ShapeError(small) if it is given.
+    """
+    family = hasattr(collection, "points")
+    items = collection if family or isinstance(collection, (list, tuple)) else list(collection)
+    if not len(items):
+        raise ShapeError(empty)
+    size = items.k if family else len(items[0])
+    if small and size < 2:
+        raise ShapeError(small)
+    points = items.points if family else chain.from_iterable(items)
+    item = (lambda j: tuple(points[j * size : j * size + size])) if family else items.__getitem__
 
-def _family_lanes(family, index: dict):
-    """(point indices, item(j)) for a family's lanes, read through its
-    documented `lanes`, `lane_size` and `k`: unsigned big-endian lanes, k
-    per block. A point outside the point set gets index len(index)."""
-    k, v = family.k, len(index)
-    if family.lane_size == 1:
-        points = family.lanes
-    else:
-        points = array("I")
-        points.frombytes(family.lanes)
-        if sys.byteorder == "little":
-            points.byteswap()
-    if len(points) != len(family) * k:
-        raise ShapeError(f"expected {len(family)} {k}-point blocks in the lanes")
-    if family.lane_size == 1 and v < 256:
-        idx = points.translate(bytes(index.get(x, v) for x in range(256)))
-    else:
-        idx = _index_lanes(map(index.get, points, repeat(v)), v)
-    return idx, lambda j: tuple(points[j * k : j * k + k])
+    def fail(j: int):
+        _check_item(item(j), size, index, noun, repeat_error)
+        raise AssertionError(f"{noun} {j} is flagged but shows no defect")
 
-
-def _item_lanes(items, size: int, index: dict, noun: str, repeat_error):
-    """Point indices of a plain sequence's items, item after item, with
-    len(index) for a point outside the point set. On an item of another
-    size or an unhashable point, the first defective item raises."""
+    v = len(index)
     try:
-        if set(map(len, items)) == {size}:
-            return _index_lanes(map(index.get, chain.from_iterable(items), repeat(len(index))), len(index))
+        if family or set(map(len, items)) == {size}:
+            if isinstance(points, bytes) and v < 256:
+                idx = points.translate(bytes(index.get(x, v) for x in range(256)))
+            else:
+                idx = map(index.get, points, repeat(v))
+                idx = bytes(idx) if v < 256 else array("I", idx)
+            return idx, len(items), size, fail
     except TypeError:
         pass
-    for item in items:
-        _check_item(item, size, index, noun, repeat_error)
+    for it in items:
+        _check_item(it, size, index, noun, repeat_error)
     raise AssertionError("a defect that no item shows")
 
 
@@ -175,61 +168,55 @@ def _split(planes: list[int], lanes: int):
             stack.append((held ^ high, t, x))
 
 
-def _bitset_incidence(collection, size: int, index: dict, noun: str, repeat_error) -> list[int]:
-    """Check every item and return rows, rows[i] the int whose bit j is
-    set iff item j holds the point with index i.
+def _bitset_incidence(idx, size: int, v: int, fail) -> list[int]:
+    """rows, rows[i] the int whose bit j is set iff item j holds index i,
+    from the point indices of items of `size` points each.
 
-    The items' point indices are packed into k column lanes. Each column
-    splits into its bit planes, and the AND-trie over them gives every
-    index's items in that column; OR-ing the columns gives the rows. An
-    item whose point shows up in two columns repeats it, and the index
-    one past the point set is a point outside it. The first such item,
-    named by the lowest failing lane, raises its own error.
+    Each column of the indices splits into its bit planes, and the
+    AND-trie over them gives every index's items in that column; OR-ing
+    the columns gives the rows. An item whose index shows up in two
+    columns repeats a point, and index v is a point outside the point
+    set. The first such item, named by the lowest failing lane, fails.
     """
-    if hasattr(collection, "lanes"):
-        idx, item = _family_lanes(collection, index)
-    else:
-        idx = _item_lanes(collection, size, index, noun, repeat_error)
-        item = collection.__getitem__
-    v, n = len(index), len(collection)
     rows, bad = [0] * (v + 1), 0
     for c in range(size):
-        for x, held in _split(_planes(idx[c::size], v.bit_length()), (1 << n) - 1):
+        col = idx[c::size]
+        for x, held in _split(_planes(col, v.bit_length()), (1 << len(col)) - 1):
             bad |= rows[x] & held
             rows[x] |= held
     bad |= rows.pop()
     if bad:
-        _check_item(item(((bad & -bad).bit_length() - 1)), size, index, noun, repeat_error)
-        raise AssertionError("a failing lane whose item shows no defect")
+        fail((bad & -bad).bit_length() - 1)
     return rows
 
 
-def _index_incidence(items, size: int, index: dict, noun: str, repeat_error) -> list:
-    """Check every item and return rows, rows[i] an array of the items
-    that hold the point with index i."""
-    rows = [array("I") for _ in index]
-    for j, item in enumerate(items):
-        _check_item(item, size, index, noun, repeat_error)
-        for x in item:
-            rows[index[x]].append(j)
+def _index_incidence(idx, size: int, v: int, fail) -> list:
+    """rows, rows[i] an array of the items that hold index i, from the
+    same point indices. The first item that holds index v, or one index
+    twice (it shows up twice in that index's row), fails."""
+    rows = [array("I") for _ in range(v + 1)]
+    for c in range(size):
+        for j, x in enumerate(memoryview(idx)[c::size]):
+            rows[x].append(j)
+    bad = [*rows.pop(), *(min(j for j, n in Counter(row).items() if n > 1)
+                          for row in rows if len(set(row)) < len(row))]
+    if bad:
+        fail(min(bad))
     return rows
 
 
-def _block_incidence(blocks, pts: list, index: dict):
+def _block_incidence(blocks, index: dict):
     """Returns (b, k, r histogram, coverage rows) after the block checks.
 
     Row a of the coverage rows, made when the sweep reaches it, lists
     the coverage of the pairs (a, c) for c > a in order.
     """
-    items, k = _items(blocks, "cannot verify an empty block collection")
-    if k < 2:
-        raise ShapeError("blocks must have at least two points")
-    packed = len(pts) <= _BITSET_MAX_V_PER_K * k
-    if packed:
-        inc = _bitset_incidence(items, k, index, "block", ShapeError)
-    else:
-        items = items if isinstance(items, (list, tuple)) else list(items)
-        inc = _index_incidence(items, k, index, "block", ShapeError)
+    idx, b, k, fail = _indices(blocks, index, "block", ShapeError,
+                               "cannot verify an empty block collection",
+                               "blocks must have at least two points")
+    v = len(index)
+    packed = v <= _BITSET_MAX_V_PER_K * k
+    inc = (_bitset_incidence if packed else _index_incidence)(idx, k, v, fail)
     r_counts = Counter(map(int.bit_count if packed else len, inc))
     if packed:
         rows = (
@@ -237,13 +224,14 @@ def _block_incidence(blocks, pts: list, index: dict):
             for a, row in enumerate(inc)
         )
     else:
-        # Row a: how often each later point turns up in the blocks of a.
+        # Row a: how often each later index turns up in the blocks of a.
+        cols = [memoryview(idx)[c::k] for c in range(k)]  # views, not copies
         rows = (
-            map(Counter(chain.from_iterable(map(items.__getitem__, row))).get,
-                pts[a + 1:], repeat(0))
+            map(Counter(chain.from_iterable(map(col.__getitem__, row) for col in cols)).get,
+                range(a + 1, v), repeat(0))
             for a, row in enumerate(inc)
         )
-    return len(items), k, dict(sorted(r_counts.items())), rows
+    return b, k, dict(sorted(r_counts.items())), rows
 
 
 def _sweep(pts: list, rows, ginc: list[int]):
@@ -284,7 +272,7 @@ def verify_bibd(points, blocks) -> DesignReport:
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    b, k, r_hist, rows = _block_incidence(blocks, pts, index)
+    b, k, r_hist, rows = _block_incidence(blocks, index)
     hist, _, _, counterexample = _sweep(pts, rows, [0] * len(pts))
     passed = len(hist) == 1
     return DesignReport(
@@ -309,12 +297,13 @@ def verify_gdd(points, groups, blocks) -> GddReport:
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    group_items, size = _items(groups, "cannot verify with an empty group collection")
-    ginc = _bitset_incidence(group_items, size, index, "group", PartitionError)
-    partition_ok = len(group_items) > 1 and all(
+    idx, group_count, size, fail = _indices(groups, index, "group", PartitionError,
+                                            "cannot verify with an empty group collection")
+    ginc = _bitset_incidence(idx, size, len(pts), fail)
+    partition_ok = group_count > 1 and all(
         row.bit_count() == 1 for row in ginc
     )
-    b, k, r_hist, rows = _block_incidence(blocks, pts, index)
+    b, k, r_hist, rows = _block_incidence(blocks, index)
     hist, within, within_example, cross_example = _sweep(pts, rows, ginc)
     cross_ok = len(hist) == 1
     passed = partition_ok and within == 0 and cross_ok
@@ -326,7 +315,7 @@ def verify_gdd(points, groups, blocks) -> GddReport:
         lambda_histogram=hist,
         passed=passed,
         counterexample=None if passed else within_example or cross_example,
-        group_count=len(group_items),
+        group_count=group_count,
         partition_ok=partition_ok,
         within_group_coverage=within,
         cross_group_lambda=next(iter(hist)) if cross_ok else None,

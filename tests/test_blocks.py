@@ -488,8 +488,14 @@ class TestFamilyPlumbing:
 
     @pytest.mark.parametrize(
         "fam",
-        [zero_sum_blocks(4, 5), sum_to_shift_blocks(9, 3, 100), gdd_blocks(5, 5, 19), gdd_groups(17, 3)],
-        ids=["W", "I-wide", "U", "groups-wide"],
+        [zero_sum_blocks(4, 5), sum_to_shift_blocks(9, 3, 100), gdd_blocks(5, 5, 19), gdd_groups(17, 3),
+         # Wpair and L are built in order, with no sort of the whole family.
+         zero_sum_blocks_containing(4, 4, 1, 2), zero_sum_blocks_containing(5, 5, 17, 3),
+         zero_sum_blocks_containing(6, 4, 63, 40), zero_sum_blocks_containing(9, 4, 300, 5),
+         shift_invariant_blocks(4, 4, 1), shift_invariant_blocks(5, 6, 7), shift_invariant_blocks(6, 4, 33),
+         shift_invariant_blocks(8, 4, 200), shift_invariant_blocks(9, 4, 3)],
+        ids=["W", "I-wide", "U", "groups-wide", "Wpair-1-2", "Wpair-17-3", "Wpair-63-40", "Wpair-wide",
+             "L-1", "L-7", "L-33", "L-wide-200", "L-wide-3"],
     )
     def test_lanes_hold_the_blocks_in_order(self, fam):
         assert len(fam.lanes) == len(fam) * fam.k * fam.lane_size
@@ -500,9 +506,15 @@ class TestFamilyPlumbing:
         width = fam.k * fam.lane_size
         keys = [fam.lanes[i : i + width] for i in range(0, len(fam.lanes), width)]
         assert keys == sorted(keys)  # big-endian lanes sort as the blocks do
-        again = BlockFamily(fam.kind, fam.m, fam.k, blocks, alpha=fam.alpha)
+        again = BlockFamily(fam.kind, fam.m, fam.k, blocks, alpha=fam.alpha, pair=fam.pair)
         assert again == fam and again.lanes == fam.lanes and hash(again) == hash(fam)
-        assert BlockFamily._from_lanes(fam.kind, fam.m, fam.k, fam.lanes, alpha=fam.alpha) == fam
+        assert BlockFamily._from_lanes(fam.kind, fam.m, fam.k, fam.lanes, alpha=fam.alpha, pair=fam.pair) == fam
+
+    @pytest.mark.parametrize("fam", [gdd_blocks(5, 4, 1), gdd_blocks(8, 3, 129)], ids=["bytes", "wide"])
+    def test_points_are_the_blocks_in_turn(self, fam):
+        points = fam.points
+        assert list(points) == [x for block in fam for x in block]
+        assert points is fam.lanes if fam.lane_size == 1 else points.typecode == "I"
 
     def test_a_bad_lane_names_its_block_unpacked(self):
         fam = gdd_blocks(5, 4, 1)

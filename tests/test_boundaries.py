@@ -78,3 +78,25 @@ def test_route_imports_are_seen():
     # The reader above does see a route importing another.
     assert _package_imports(ROOT / "src" / "design_forge" / "cli.py") >= set(ROUTES)
     assert "blocks" in _package_imports(ROOT / "src" / "design_forge" / "witness.py")
+
+
+def _attribute_reads(path: Path) -> set[str]:
+    """Names the file reads as attributes, or passes as a string (getattr)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_the_verifier_reads_no_lane_format():
+    # The lane format belongs to blocks: the verifier reads a family's
+    # `points`, never its lanes or their width.
+    path = ROOT / "src" / "design_forge" / "designs.py"
+    assert _attribute_reads(path) & {"lanes", "lane_size"} == set()
+    assert "points" in _attribute_reads(path)
+
+
+def test_lane_reads_are_seen():
+    # The reader above does see the lanes read where they are owned.
+    assert {"lanes", "lane_size"} <= _attribute_reads(ROOT / "src" / "design_forge" / "blocks.py")

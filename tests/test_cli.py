@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from design_forge import cli, params
+from design_forge import blocks, cli, params
 from design_forge.errors import ConsistencyError
 from helpers import run_cli, run_python
 
@@ -224,6 +224,23 @@ class TestCrosscheck:
         assert "lambda" in captured.err
         assert "no" in captured.out
 
+    def test_perturbed_replication_exits_1(self, monkeypatch, capsys):
+        real = params.param_table
+
+        def perturbed(m):
+            table = real(m)
+            rows = dict(table.rows)
+            row = rows[4]
+            rows[4] = params.ParamRow(row.blocks, row.replication + 1, row.balance, row.gdd_balance)
+            return params.ParamTable(table.m, rows)
+
+        monkeypatch.setattr(params, "param_table", perturbed)
+        rc = cli.main(["crosscheck", "--m", "3", "--k", "3..4"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == ["m,k,check,field,observed,expected", "3,4,bibd,replication,4,5"]
+        assert captured.out.splitlines()[1:] == ["3,3,bibd,7,7,1,1,yes", "3,4,bibd,7,7,2,2,no"]
+
     def test_byte_identical_reruns(self):
         first = run_cli(["crosscheck", "--m", "3", "--k", "3..4"])
         second = run_cli(["crosscheck", "--m", "3", "--k", "3..4"])
@@ -399,7 +416,7 @@ class TestUsage:
         # leaves --out as it was and no temporary file behind.
         out = tmp_path / "out.txt"
         out.write_text("old")
-        real_dumps, real_reference = cli.json.dumps, params.reference_gdd_balance
+        real_iter, real_reference = blocks.BlockFamily.__iter__, params.reference_gdd_balance
         calls = []
 
         def failing(real):
@@ -410,12 +427,37 @@ class TestUsage:
                 return real(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(cli.json, "dumps", failing(real_dumps))
+        def failing_iter(family):
+            for n, block in enumerate(real_iter(family), 1):
+                if n == 3:
+                    raise RuntimeError("failed part way")
+                yield block
+
+        monkeypatch.setattr(blocks.BlockFamily, "__iter__", failing_iter)
         monkeypatch.setattr(params, "reference_gdd_balance", failing(real_reference))
         assert cli.main([*command, "--out", str(out)]) == 4
         assert "failed part way" in capsys.readouterr().err
         assert out.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify-bibd", "--k", "3", "--blocks", "{w}", "--budget", "0"],
+         ["verify-gdd", "--k", "3", "--alpha", "1", "--blocks", "{u}", "--groups", "{g}", "--budget", "-5"]],
+        ids=["verify-bibd", "verify-gdd"],
+    )
+    def test_nonpositive_budget_exits_2_when_reading_blocks(self, tmp_path, capsys, command):
+        # --budget is checked on every path, not only those that enumerate.
+        files = {name: tmp_path / f"{name}.jsonl" for name in "wug"}
+        for name, args in (("w", ["--k", "3"]), ("u", ["--k", "3", "--family", "U", "--alpha", "1"]),
+                           ("g", ["--k", "2", "--family", "U", "--alpha", "1"])):
+            assert cli.main(["export", "--m", "3", *args, "--out", str(files[name])]) == 0
+        capsys.readouterr()
+        argv = [command[0], "--m", "3", *(arg.format(**files) for arg in command[1:])]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: budget must be positive, got {command[-1]}\n"
 
     def test_streamed_text_counts_what_was_written(self, capsys):
         text = cli._csv_text([["a", "bc"], ["d"]])
