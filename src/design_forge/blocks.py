@@ -80,42 +80,34 @@ def _pack(points, size: int) -> bytes | None:
     return lanes.tobytes()
 
 
-def _unpack(lanes: bytes, size: int, order: str):
-    """Packed lanes as a sequence with each lane's bytes in `order`:
-    "little" is the layout int.from_bytes(..., "little") reads lane by
-    lane, sys.byteorder gives the points as ints."""
+def _unpack(lanes: bytes, size: int):
+    """The points of packed lanes, in turn, as ints: `lanes` itself for
+    1-byte lanes, else an array("I")."""
     if size == 1:
         return lanes
-    out = array("I")
-    out.frombytes(lanes)
-    if order == "little":
-        out.byteswap()
-    return out
+    points = array("I", lanes)
+    if sys.byteorder == "little":
+        points.byteswap()
+    return points
 
 
 def _columns(lanes: bytes, k: int, size: int) -> list[int]:
-    """Column j of the packed blocks as an int: point j of block i in lane i."""
-    seq = _unpack(lanes, size, "little")
-    return [int.from_bytes(seq[j::k], "little") for j in range(k)]
-
-
-def _block_at(lanes: bytes, k: int, size: int, i: int) -> Block:
-    """Block i of the packed blocks."""
-    start = i * k * size
-    return tuple(_unpack(lanes[start : start + k * size], size, sys.byteorder))
+    """Column j of the packed blocks as an int: point j of block i in lane
+    i from the top. The lanes are read big-endian as stored, through a raw
+    array("I") of their bytes for 4-byte lanes, so no bytes are swapped."""
+    seq = lanes if size == 1 else array("I", lanes)
+    return [int.from_bytes(seq[j::k], "big") for j in range(k)]
 
 
 def _interleave(cols: list[int], n: int, size: int) -> bytes:
-    """The inverse of `_columns`: n blocks packed from their k columns."""
+    """The inverse of `_columns`: n blocks packed from their k columns,
+    each column written big-endian into every k-th lane."""
     k = len(cols)
-    out = array("B" if size == 1 else "I")
-    out.frombytes(bytes(n * k * size))
+    out = bytearray(n * k) if size == 1 else array("I", bytes(n * k * size))
     for j, c in enumerate(cols):
-        col = array(out.typecode)
-        col.frombytes(c.to_bytes(n * size, "little"))
-        out[j::k] = col
-    out.byteswap()
-    return out.tobytes()
+        col = c.to_bytes(n * size, "big")
+        out[j::k] = col if size == 1 else array("I", col)
+    return bytes(out)
 
 
 def _ones(lanes: int, width: int) -> int:
@@ -171,11 +163,11 @@ def _sort_lanes(cols: list[int], pairs, n: int, width: int) -> None:
 class _Rule:
     """The membership rule of one family, checked on lane-packed blocks.
 
-    n blocks of k points unpack into k column ints, column j holding point
-    j of block i in lane i. Lanes are a byte while 2^m <= 128, else 32
-    bits; the top bit of each lane is its guard, clear in every allowed
-    point. Each fact is a few big-int operations over all lanes, and its
-    failing lanes are a mask with a bit set in each:
+    n blocks of k points are k column ints, column j holding point j of
+    block i in lane i from the top (see `_columns`). Lanes are a byte while
+    2^m <= 128, else 32 bits; the top bit of each lane is its guard, clear
+    in every allowed point. Each fact is a few big-int operations over all
+    lanes, and its failing lanes are a mask with a bit set in each:
       points   a lane of some column with a bit m and up set, or zero, or
                (I, J, U) equal to alpha; an int outside the lanes, which
                only a predicate's own points can be, has such a bit too
@@ -188,8 +180,9 @@ class _Rule:
     The order test is exact in lanes whose points are in range, and any
     other lane fails the points test, so the failing lanes are exact.
     The pair tests of L and U cost C(k, 2) column operations however few
-    the blocks, so a chunk with fewer points than that (one block of
-    k >= 4, say) tests each block's set against its shift instead.
+    the blocks, so a chunk of fewer than (k - 1) / 2 blocks (one block of
+    k >= 4, say) reads each block out of the columns, k shifts of at most
+    n lanes, and tests its set against its shift instead.
     """
 
     __slots__ = ("kind", "m", "k", "alpha", "target", "pair", "shifted", "size", "width", "masks")
@@ -229,18 +222,17 @@ class _Rule:
         )
         return masks
 
-    def bad_blocks(self, cols: list, n: int, block: Callable[[int], Block], ordered: bool) -> int:
-        """The failing lanes of n blocks, packed into columns: a point
-        outside the allowed set, the XOR-sum, the set condition or, with
-        `ordered`, the order; `block(i)` is block i, for the set test on
-        each block."""
-        k = self.k
+    def first_bad(self, cols: list, n: int) -> int | None:
+        """The index of the first of n blocks, given as their columns,
+        that is not a strictly increasing member, or None: the block whose
+        lane holds the highest failing bit, unless the set test on each
+        block finds an earlier one."""
+        k, width = self.k, self.width
         guard, low, high, target, alpha, pair = self.masks.get(n) or self._masks(n)
         bad = 0
-        if ordered:
-            for a, b in zip(cols, cols[1:]):
-                bad |= (a | guard) - (b & low)
-            bad &= guard
+        for a, b in zip(cols, cols[1:]):
+            bad |= (a | guard) - (b & low)
+        bad &= guard
         avoid = self.kind in ("I", "J", "U")
         for c in cols:
             ok = _nonzero(c, low, guard)
@@ -254,31 +246,26 @@ class _Rule:
             for c in cols:
                 missing &= _nonzero(c ^ x, low, guard)
             bad |= missing
-        if not self.shifted:
-            return bad
-        if k * (k - 1) <= 2 * _PAIR_TESTS_PER_POINT * n * k:
+        by_sets = self.shifted and k * (k - 1) > 2 * _PAIR_TESTS_PER_POINT * n * k
+        if self.shifted and not by_sets:
             apart = [guard] * k  # lanes where column i is no shift of another
             for i, j in combinations(range(k), 2):
                 e = _nonzero(cols[i] ^ cols[j] ^ alpha, low, guard)
                 apart[i] &= e
                 apart[j] &= e
             if self.kind == "L":
-                return bad | reduce(or_, apart, 0)
-            return bad | guard ^ reduce(and_, apart, guard)
-        test = set.issuperset if self.kind == "L" else set.isdisjoint
-        shift = self.alpha.__xor__
-        for i in range(n):
-            b = block(i)
-            if not test(set(b), map(shift, b)):
-                return bad | 1 << (i * self.width + self.width - 1)
-        return bad
-
-    def first_bad(self, lanes: bytes, n: int) -> int | None:
-        """The index of the first of n packed blocks that is not a
-        strictly increasing member, or None."""
-        k, size = self.k, self.size
-        bad = self.bad_blocks(_columns(lanes, k, size), n, lambda i: _block_at(lanes, k, size, i), True)
-        return ((bad & -bad).bit_length() - 1) // self.width if bad else None
+                bad |= reduce(or_, apart, 0)
+            else:
+                bad |= guard ^ reduce(and_, apart, guard)
+        first = (n * width - bad.bit_length()) // width if bad else None
+        if by_sets:
+            test = set.issuperset if self.kind == "L" else set.isdisjoint
+            shift, lane = self.alpha.__xor__, (1 << width) - 1
+            for i in range(n if first is None else first):
+                b = [c >> (n - 1 - i) * width & lane for c in cols]
+                if not test(set(b), map(shift, b)):
+                    return i
+        return first
 
 
 def family_predicate(
@@ -302,9 +289,9 @@ def family_predicate(
                       each coset {x, x + alpha} at most once; not at
                       k = 2, where U (the groups) is I at k = 2: the
                       pairs {x, x + alpha}
-    The test is `BlockFamily`'s lane-packed check with each point as a
-    one-lane column, without the order test: it takes the points in any
-    order, and a repeated point counts once in the set condition.
+    The test is `BlockFamily`'s lane-packed check on the sorted points,
+    each a one-lane column: it takes the points in any order, and the
+    order test rejects a repeated point.
     """
     rule = _Rule(kind, m, k, alpha, pair)
 
@@ -312,7 +299,7 @@ def family_predicate(
         if len(b) != k:
             return False
         try:
-            return not rule.bad_blocks(list(b), 1, lambda i: b, False)
+            return rule.first_bad(sorted(b), 1) is None
         except TypeError:  # a point that is not an int
             return False
 
@@ -340,10 +327,11 @@ class BlockFamily:
 
     Construction re-checks every member against the family's rule, so a
     BlockFamily in hand is always internally consistent. The check reads
-    the lanes of 65,536 blocks at a time as k column ints, so its scratch
-    memory does not grow with the family: the first failing lane names the
-    first bad block, which raises FamilyError saying it is not strictly
-    increasing or, failing that, that it violates the predicate.
+    the lanes of 65,536 blocks at a time as k big-endian column ints, block
+    0 in the top lane, so its scratch memory does not grow with the family:
+    the highest failing lane names the first bad block, which raises
+    FamilyError saying it is not strictly increasing or, failing that, that
+    it violates the predicate.
     """
 
     kind: str
@@ -388,11 +376,11 @@ class BlockFamily:
         n, width = self._n, self.k * rule.size
         for start in range(0, n, _CHUNK):
             stop = min(n, start + _CHUNK)
-            bad = rule.first_bad(self.lanes[start * width : stop * width], stop - start)
+            lanes = self.lanes[start * width : stop * width]
+            bad = rule.first_bad(_columns(lanes, self.k, rule.size), stop - start)
             if bad is not None:
-                bad += start
-                b = _block_at(self.lanes, self.k, rule.size, bad) if given is None else given[bad]
-                raise _block_error(b, self.kind)
+                points = _unpack(lanes[bad * width : bad * width + width], rule.size)
+                raise _block_error(tuple(points) if given is None else given[start + bad], self.kind)
 
     @property
     def lane_size(self) -> int:
@@ -406,7 +394,7 @@ class BlockFamily:
     def points(self):
         """The points of every block in turn, as ints: `lanes` itself while
         a lane is one byte, else an array("I")."""
-        return _unpack(self.lanes, self.lane_size, sys.byteorder)
+        return _unpack(self.lanes, self.lane_size)
 
     def __iter__(self) -> Iterator[Block]:
         k = self.k
@@ -456,8 +444,8 @@ def _xor_subsets(
 ) -> list[Block]:
     """All strictly increasing k-tuples over `ground` whose XOR equals `target`.
 
-    `ground` must be sorted ascending with no duplicates and hold at least
-    k points. Output is in lexicographic order.
+    k must be at least 1, and `ground` sorted ascending with no duplicates
+    and hold at least k points. Output is in lexicographic order.
 
     The search visits every prefix of k - 1 ground points in lexicographic
     order, the leaves of a depth-first search over ascending indices, and
@@ -469,8 +457,6 @@ def _xor_subsets(
     whole charge is made before the search, so a search over budget
     fails before it allocates anything.
     """
-    if k <= 0:
-        raise ArgumentError(f"subset size must be positive, got {k}")
     n = len(ground)
     budget.spend(comb(n, k - 1) - 1 + comb(n - 1, k - 1))
     gset = set(ground)

@@ -152,13 +152,11 @@ def _enumerate_family(args) -> blocks.BlockFamily:
             "L": blocks.shift_invariant_blocks,
         }[family]
         return fn(m, k, args.alpha, budget)
-    if family == "U":
-        if args.alpha is None:
-            raise ArgumentError("family U needs --alpha")
-        if k == 2:
-            return blocks.gdd_groups(m + 1, args.alpha)
-        return blocks.gdd_blocks(m + 1, k, args.alpha, budget)
-    raise ArgumentError(f"unknown family {family!r}")
+    if args.alpha is None:  # family U, the last of argparse's choices
+        raise ArgumentError("family U needs --alpha")
+    if k == 2:
+        return blocks.gdd_groups(m + 1, args.alpha)
+    return blocks.gdd_blocks(m + 1, k, args.alpha, budget)
 
 
 def _jsonl_text(family: blocks.BlockFamily) -> _Text:
@@ -500,16 +498,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return EXIT_USAGE if exc.code else EXIT_OK
-    if hasattr(args, "m"):
-        try:
-            args.m_single = (
-                _single(args.m, "--m") if args.command != "crosscheck" else None
-            )
-            if getattr(args, "budget", 1) <= 0:
-                raise ArgumentError(f"budget must be positive, got {args.budget}")
-        except _USAGE_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        args.m_single = _single(args.m, "--m") if args.command != "crosscheck" else None
+        if getattr(args, "budget", 1) <= 0:
+            raise ArgumentError(f"budget must be positive, got {args.budget}")
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.handler(args)
     except KeyboardInterrupt:

@@ -599,6 +599,25 @@ class TestPredicateOracles:
                     assert not pred(b[:-1] + (size,)), b
                     assert not pred((-1,) + b[1:]), b
 
+    @pytest.mark.parametrize(
+        "m,kind,alpha,pair",
+        _ORACLE_CASES,
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_predicate_rejects_a_repeated_point(self, m, kind, alpha, pair):
+        # A member of k - 2 points with one of its points put in twice
+        # more keeps its XOR-sum, its set and its allowed points, but is no
+        # k-subset; nor is a member of k - 1 points with one put in again.
+        preds = [family_predicate(kind, m, k, alpha=alpha, pair=pair) for k in range(2**m + 2)]
+        for k in range(2**m):
+            for b in _brute_family(kind, m, k, alpha, pair):
+                for x in b:
+                    for extra in ((x,), (x, x)):
+                        c = b + extra
+                        assert not preds[len(c)](c) and not preds[len(c)](c[::-1]), c
+        assert not family_predicate("W", 3, 4)((1, 1, 2, 2))
+        assert not family_predicate("L", 3, 4, alpha=1)((2, 3, 2, 3))
+
     @pytest.mark.parametrize("m", [3, 8], ids=["bytes", "wide"])
     def test_predicate_rejects_points_that_fit_no_lane(self, m):
         # The predicate reads the points as given, one lane each: an int

@@ -100,3 +100,22 @@ def test_the_verifier_reads_no_lane_format():
 def test_lane_reads_are_seen():
     # The reader above does see the lanes read where they are owned.
     assert {"lanes", "lane_size"} <= _attribute_reads(ROOT / "src" / "design_forge" / "blocks.py")
+
+
+def _byteswap_callers(path: Path) -> set[str | None]:
+    """The top-level function or class around each read of `.byteswap`,
+    None for one outside them."""
+    return {
+        getattr(top, "name", None)
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "byteswap"
+    }
+
+
+def test_bytes_are_swapped_only_where_ints_meet_lanes():
+    # Lanes are stored big-endian and column ints are read from them
+    # big-endian, so the host's byte order matters only where points
+    # become lanes or lanes become points.
+    path = ROOT / "src" / "design_forge" / "blocks.py"
+    assert _byteswap_callers(path) == {"_pack", "_unpack"}

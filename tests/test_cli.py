@@ -358,6 +358,26 @@ class TestVerifyRoundTrip:
         assert proc.stdout == b""
         assert proc.stderr == f"error: {bad}: not UTF-8 text\n".encode()
 
+    def test_record_of_another_block_size_rejected(self, tmp_path):
+        bad = tmp_path / "k4.jsonl"
+        bad.write_text(json.dumps({"m": 3, "k": 4, "family": "W", "alpha": None, "block": [1, 2, 4, 7]}) + "\n")
+        proc = run_cli(["verify-bibd", "--m", "3", "--k", "3", "--blocks", str(bad)])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {bad}:1: block size 4, expected 3\n".encode()
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        exported, spaced = tmp_path / "w.jsonl", tmp_path / "spaced.jsonl"
+        assert cli.main(["export", "--m", "4", "--k", "4", "--out", str(exported)]) == 0
+        lines = exported.read_text().splitlines(keepends=True)
+        spaced.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+        capsys.readouterr()
+        outs = []
+        for path in (exported, spaced):
+            assert cli.main(["verify-bibd", "--m", "4", "--k", "4", "--blocks", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and json.loads(outs[0])["passed"]
+
     def test_mismatched_export_rejected(self, tmp_path):
         exported = tmp_path / "w.jsonl"
         run_cli(["export", "--m", "3", "--k", "3", "--out", str(exported)])
@@ -373,6 +393,27 @@ class TestUsage:
     def test_range_where_single_expected_exits_2(self):
         proc = run_cli(["enumerate", "--m", "3..4", "--k", "3"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["enumerate", "--m", "3", "--k", "abc"], "expected an int or 'a..b' range, got 'abc'"),
+            (["enumerate", "--m", "3", "--k", "5..3"], "empty range '5..3'"),
+            (["crosscheck", "--m", "4..3", "--k", "3"], "empty range '4..3'"),
+        ],
+        ids=["not-an-int", "empty-k-range", "empty-m-range"],
+    )
+    def test_malformed_span_exits_2(self, argv, message):
+        proc = run_cli(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {message}\n".encode()
+
+    def test_verify_gdd_requires_alpha(self, capsys):
+        assert cli.main(["verify-gdd", "--m", "3", "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify-gdd needs --alpha (an element of GF(2^(m+1)))\n"
 
     def test_alpha_required_for_shifted_families(self):
         for family in ("I", "J", "L", "U"):

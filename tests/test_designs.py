@@ -112,6 +112,10 @@ class TestVerifyBibd:
         with pytest.raises(ShapeError):
             verify_bibd(range(1, 8), [])
 
+    def test_one_point_blocks_raise(self):
+        with pytest.raises(ShapeError, match="blocks must have at least two points"):
+            verify_bibd(range(1, 4), [(1,), (2,)])
+
 
 class TestVerifyGdd:
     def test_smallest_lifted_design(self):
