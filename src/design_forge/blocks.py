@@ -53,10 +53,12 @@ FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
 # scratch memory is a few bytes per point of one chunk, however large the
 # family.
 _CHUNK = 65_536
-# L and U test their set condition on columns, C(k, 2) big-int operations,
-# while that is at most this many per point of the chunk; past it, on each
-# block's set, which costs one step per point.
-_PAIR_TESTS_PER_POINT = 1
+# L and U test their set condition on columns, C(k, 2) big-int operations
+# over all lanes, while (k - 1) / 2, the count per point, is at most this;
+# past it, each block is read once out of the columns and its set tested.
+# On chunks of 512 and 8,192 L blocks, columns won up to k = 120 in 1-byte
+# lanes and k = 96 in 4-byte ones, where L within budget has k <= 8 or >= 248.
+_PAIR_TESTS_PER_POINT = 64
 
 
 def _lane_size(m: int) -> int:
@@ -179,10 +181,9 @@ class _Rule:
                fails on any, L where some column meets none
     The order test is exact in lanes whose points are in range, and any
     other lane fails the points test, so the failing lanes are exact.
-    The pair tests of L and U cost C(k, 2) column operations however few
-    the blocks, so a chunk of fewer than (k - 1) / 2 blocks (one block of
-    k >= 4, say) reads each block out of the columns, k shifts of at most
-    n lanes, and tests its set against its shift instead.
+    The pair tests of L and U cost C(k, 2) column operations, so for k
+    past a bound (`_PAIR_TESTS_PER_POINT`) the blocks are read out of the
+    columns in one pass instead and each set is tested against its shift.
     """
 
     __slots__ = ("kind", "m", "k", "alpha", "target", "pair", "shifted", "size", "width", "masks")
@@ -246,7 +247,7 @@ class _Rule:
             for c in cols:
                 missing &= _nonzero(c ^ x, low, guard)
             bad |= missing
-        by_sets = self.shifted and k * (k - 1) > 2 * _PAIR_TESTS_PER_POINT * n * k
+        by_sets = self.shifted and k - 1 > 2 * _PAIR_TESTS_PER_POINT
         if self.shifted and not by_sets:
             apart = [guard] * k  # lanes where column i is no shift of another
             for i, j in combinations(range(k), 2):
@@ -260,9 +261,10 @@ class _Rule:
         first = (n * width - bad.bit_length()) // width if bad else None
         if by_sets:
             test = set.issuperset if self.kind == "L" else set.isdisjoint
-            shift, lane = self.alpha.__xor__, (1 << width) - 1
+            shift = self.alpha.__xor__
+            points = cols if n == 1 else _unpack(_interleave(cols, n, self.size), self.size)
             for i in range(n if first is None else first):
-                b = [c >> (n - 1 - i) * width & lane for c in cols]
+                b = points[i * k : i * k + k]
                 if not test(set(b), map(shift, b)):
                     return i
         return first
@@ -296,11 +298,10 @@ def family_predicate(
     rule = _Rule(kind, m, k, alpha, pair)
 
     def pred(b: Block) -> bool:
-        if len(b) != k:
-            return False
         try:
-            return rule.first_bad(sorted(b), 1) is None
-        except TypeError:  # a point that is not an int
+            points = sorted(b)
+            return len(points) == k and rule.first_bad(points, 1) is None
+        except TypeError:  # not iterable, or a point that is not an int
             return False
 
     return pred
@@ -541,7 +542,7 @@ def shift_invariant_blocks(
     if k % 2 == 0:
         bud = _Budget(budget, f"shift-invariant blocks (m={m}, k={k}, alpha={alpha})")
         free = cosets_of(alpha, m)[1:]  # all but the subgroup (0, alpha)
-        bud.spend(comb(len(free), k // 2))  # one node per block
+        bud.spend(comb(len(free), k // 2) * k)  # one node per point written
         combos = combinations(free, k // 2)
         blocks = tuple(tuple(sorted(chain.from_iterable(c))) for c in combos)
     return BlockFamily("L", m, k, blocks, alpha=alpha)

@@ -231,36 +231,45 @@ def _report_json(report: designs.DesignReport) -> str:
     return json.dumps(dataclasses.asdict(report)) + "\n"
 
 
-def cmd_verify_bibd(args) -> int:
-    m = args.m_single
-    k = _single(args.k, "--k")
-    points = range(1, 1 << m)
-    if args.blocks_path:
-        block_list = _read_jsonl_blocks(args.blocks_path, m, k, "W", None)
+def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
+    """The report on the zero-sum design of GF(2^m), enumerated or read."""
+    if blocks_path:
+        block_list = _read_jsonl_blocks(blocks_path, m, k, "W", None)
     else:
-        block_list = blocks.zero_sum_blocks(m, k, args.budget)
-    report = designs.verify_bibd(points, block_list)
+        block_list = blocks.zero_sum_blocks(m, k, budget)
+    return designs.verify_bibd(range(1, 1 << m), block_list)
+
+
+def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, groups_path=None):
+    """The report on the design lifted to GF(2^(m+1)) for alpha: its groups,
+    then its blocks, each derived or read."""
+    ambient = m + 1
+    points = [x for x in range(1, 1 << ambient) if x != alpha]
+    if groups_path:
+        group_list = _read_jsonl_blocks(groups_path, ambient, 2, "U", alpha)
+    else:
+        group_list = blocks.gdd_groups(ambient, alpha)
+    if blocks_path:
+        block_list = _read_jsonl_blocks(blocks_path, ambient, k, "U", alpha)
+    else:
+        block_list = blocks.gdd_blocks(ambient, k, alpha, budget)
+    return designs.verify_gdd(points, group_list, block_list)
+
+
+def cmd_verify_bibd(args) -> int:
+    k = _single(args.k, "--k")
+    report = _bibd_report(args.m_single, k, args.budget, args.blocks_path)
     _write_output(_report_json(report), args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
 def cmd_verify_gdd(args) -> int:
-    m = args.m_single
     k = _single(args.k, "--k")
     if args.alpha is None:
         raise ArgumentError("verify-gdd needs --alpha (an element of GF(2^(m+1)))")
-    ambient = m + 1
-    alpha = args.alpha
-    points = [x for x in range(1, 1 << ambient) if x != alpha]
-    if args.groups_path:
-        group_list = _read_jsonl_blocks(args.groups_path, ambient, 2, "U", alpha)
-    else:
-        group_list = blocks.gdd_groups(ambient, alpha)
-    if args.blocks_path:
-        block_list = _read_jsonl_blocks(args.blocks_path, ambient, k, "U", alpha)
-    else:
-        block_list = blocks.gdd_blocks(ambient, k, alpha, args.budget)
-    report = designs.verify_gdd(points, group_list, block_list)
+    report = _gdd_report(
+        args.m_single, k, args.alpha, args.budget, args.blocks_path, args.groups_path
+    )
     _write_output(_report_json(report), args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
@@ -365,53 +374,36 @@ def cmd_crosscheck(args) -> int:
         table = None
         top = (1 << m) - 4
         for k in range(max(k_lo, 3), min(k_hi, top) + 1):
-            family = blocks.zero_sum_blocks(m, k, args.budget)
+            report = _bibd_report(m, k, args.budget)
             # Only once a search fits its budget: from m = 16 the table takes seconds.
             table = table or params.param_table(m)
-            report = designs.verify_bibd(range(1, 1 << m), family)
-            observed_lambda = (
-                next(iter(report.lambda_histogram)) if report.passed else "unbalanced"
-            )
-            r_values = report.r_histogram
-            observed_r = next(iter(r_values)) if len(r_values) == 1 else "unbalanced"
+            row = table.rows[k]
+            if report.passed:
+                _, b, r, lam = designs.observed_params(report)
+            else:
+                b, r, lam = report.b, "unbalanced", "unbalanced"
             record(
                 m, k, "bibd",
-                len(family), table.rows[k].blocks,
-                observed_lambda, table.rows[k].balance,
-                ("replication", observed_r, table.rows[k].replication),
+                b, row.blocks,
+                lam, row.balance,
+                ("replication", r, row.replication),
             )
             if args.gdd:
-                ambient = m + 1
-                observed = set()
-                total_blocks = 0
-                for alpha in range(1, 1 << ambient):
-                    fam = blocks.gdd_blocks(ambient, k, alpha, args.budget)
-                    total_blocks += len(fam)
-                    rep = designs.verify_gdd(
-                        [x for x in range(1, 1 << ambient) if x != alpha],
-                        blocks.gdd_groups(ambient, alpha),
-                        fam,
-                    )
-                    observed.add(
-                        rep.cross_group_lambda if rep.passed else "unbalanced"
-                    )
-                observed_text = "|".join(str(o) for o in sorted(observed, key=str))
+                reports = [_gdd_report(m, k, a, args.budget) for a in range(1, 2 << m)]
+                observed = {x.cross_group_lambda if x.passed else "unbalanced" for x in reports}
                 # The recurrence implies a block count: every one of the
                 # cross-group pairs is covered lambda' times, each block
                 # covering C(k, 2) of them, summed over all shifts.
-                points = (1 << ambient) - 2
+                points = (2 << m) - 2
                 cross_pairs = points * (points - 1) // 2 - ((1 << m) - 1)
-                numerator = ((1 << ambient) - 1) * table.rows[k].gdd_balance * cross_pairs
+                numerator = ((2 << m) - 1) * row.gdd_balance * cross_pairs
                 denominator = k * (k - 1) // 2
-                expected_blocks = (
-                    numerator // denominator
-                    if numerator % denominator == 0
-                    else f"{numerator}/{denominator}"
-                )
+                quotient, rest = divmod(numerator, denominator)
+                expected_blocks = f"{numerator}/{denominator}" if rest else quotient
                 record(
                     m, k, "gdd",
-                    total_blocks, expected_blocks,
-                    observed_text, str(table.rows[k].gdd_balance),
+                    sum(x.b for x in reports), expected_blocks,
+                    "|".join(sorted(map(str, observed))), str(row.gdd_balance),
                 )
     _write_output(_csv_text(out_rows), args.out)
     if mismatches:

@@ -154,10 +154,10 @@ class TestSearchBudget:
         with pytest.raises(BudgetExceededError):
             gdd_blocks(5, 4, 9, budget=nodes - 1)
 
-    def test_shift_invariant_family_charges_one_node_per_block(self):
-        assert len(shift_invariant_blocks(5, 6, 3, budget=comb(15, 3))) == 455
+    def test_shift_invariant_family_charges_one_node_per_point(self):
+        assert len(shift_invariant_blocks(5, 6, 3, budget=comb(15, 3) * 6)) == 455
         with pytest.raises(BudgetExceededError):
-            shift_invariant_blocks(5, 6, 3, budget=comb(15, 3) - 1)
+            shift_invariant_blocks(5, 6, 3, budget=comb(15, 3) * 6 - 1)
 
     def test_search_over_budget_fails_before_it_starts(self):
         start = time.perf_counter()
@@ -617,6 +617,14 @@ class TestPredicateOracles:
                         assert not preds[len(c)](c) and not preds[len(c)](c[::-1]), c
         assert not family_predicate("W", 3, 4)((1, 1, 2, 2))
         assert not family_predicate("L", 3, 4, alpha=1)((2, 3, 2, 3))
+
+    def test_predicate_takes_any_iterable(self):
+        # Like `in`: the points may come from a generator, and anything
+        # that is not iterable is no member.
+        assert family_predicate("W", 3, 3)(x for x in (1, 2, 3))
+        assert family_predicate("L", 3, 4, alpha=1)(x for x in (3, 2, 5, 4))
+        assert not family_predicate("W", 3, 3)(x for x in (1, 2, 4))
+        assert not family_predicate("W", 3, 3)(5)
 
     @pytest.mark.parametrize("m", [3, 8], ids=["bytes", "wide"])
     def test_predicate_rejects_points_that_fit_no_lane(self, m):

@@ -119,3 +119,19 @@ def test_bytes_are_swapped_only_where_ints_meet_lanes():
     # become lanes or lanes become points.
     path = ROOT / "src" / "design_forge" / "blocks.py"
     assert _byteswap_callers(path) == {"_pack", "_unpack"}
+
+
+def _name_sites(path: Path, name: str) -> int:
+    """How many times the file names `name`, bare or as an attribute."""
+    return sum(
+        getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+@pytest.mark.parametrize("name", ["verify_bibd", "verify_gdd", "observed_params"])
+def test_commands_reach_each_verifier_through_one_call(name):
+    # verify-bibd, verify-gdd and crosscheck share one report helper per
+    # verifier, and crosscheck reads b, r and lambda through observed_params.
+    assert _name_sites(ROOT / "src" / "design_forge" / "cli.py", name) == 1

@@ -80,6 +80,16 @@ class TestEnumerate:
         assert proc.stdout == b""
         assert b"exceeded the enumeration budget of 100000000 nodes" in proc.stderr
 
+    def test_shift_invariant_budget_counts_points(self):
+        # C(31, 20) = 84,672,315 blocks of 40 points each: 3.4e9 points
+        # against the default 10^8, refused before any block is built.
+        start = time.perf_counter()
+        proc = run_cli(["enumerate", "--family", "L", "--m", "6", "--k", "40", "--alpha", "1"])
+        assert time.perf_counter() - start < 3
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert b"exceeded the enumeration budget of 100000000 nodes" in proc.stderr
+
     def test_export_requires_out(self):
         proc = run_cli(["export", "--m", "3", "--k", "3"])
         assert proc.returncode == 2
@@ -240,6 +250,48 @@ class TestCrosscheck:
         assert rc == 1
         assert captured.err.splitlines() == ["m,k,check,field,observed,expected", "3,4,bibd,replication,4,5"]
         assert captured.out.splitlines()[1:] == ["3,3,bibd,7,7,1,1,yes", "3,4,bibd,7,7,2,2,no"]
+
+    def test_unbalanced_design_exits_1(self, monkeypatch, capsys):
+        # A wrong enumeration, not a wrong table: one block short, neither
+        # r nor lambda is constant and both show as unbalanced.
+        real = blocks.zero_sum_blocks
+
+        def short(m, k, budget):
+            family = real(m, k, budget)
+            return blocks.BlockFamily(family.kind, m, k, tuple(family)[1:])
+
+        monkeypatch.setattr(blocks, "zero_sum_blocks", short)
+        assert cli.main(["crosscheck", "--m", "3", "--k", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["3,3,bibd,6,7,unbalanced,1,no"]
+        assert captured.err.splitlines() == [
+            "m,k,check,field,observed,expected",
+            "3,3,bibd,blocks,6,7",
+            "3,3,bibd,lambda,unbalanced,1",
+            "3,3,bibd,replication,unbalanced,3",
+        ]
+
+    def test_unbalanced_lifted_design_exits_1(self, monkeypatch, capsys):
+        real = blocks.gdd_blocks
+
+        def short(ambient, k, alpha, budget):
+            family = real(ambient, k, alpha, budget)
+            if alpha != 1:
+                return family
+            return blocks.BlockFamily(family.kind, ambient, k, tuple(family)[1:], alpha=alpha)
+
+        monkeypatch.setattr(blocks, "gdd_blocks", short)
+        assert cli.main(["crosscheck", "--m", "3", "--k", "3", "--gdd"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "3,3,bibd,7,7,1,1,yes",
+            "3,3,gdd,419,420,1|unbalanced,1,no",
+        ]
+        assert captured.err.splitlines() == [
+            "m,k,check,field,observed,expected",
+            "3,3,gdd,blocks,419,420",
+            "3,3,gdd,lambda,1|unbalanced,1",
+        ]
 
     def test_byte_identical_reruns(self):
         first = run_cli(["crosscheck", "--m", "3", "--k", "3..4"])
