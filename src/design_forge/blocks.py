@@ -54,8 +54,8 @@ FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
 # family.
 _CHUNK = 65_536
 # L and U test their set condition on columns, C(k, 2) big-int operations
-# over all lanes, while (k - 1) / 2, the count per point, is at most this;
-# past it, each block is read once out of the columns and its set tested.
+# over all lanes, while (k - 1) / 2, the count per point, is at most this
+# and there are two blocks or more; else each block's set is tested alone.
 # On chunks of 512 and 8,192 L blocks, columns won up to k = 120 in 1-byte
 # lanes and k = 96 in 4-byte ones, where L within budget has k <= 8 or >= 248.
 _PAIR_TESTS_PER_POINT = 64
@@ -181,9 +181,9 @@ class _Rule:
                fails on any, L where some column meets none
     The order test is exact in lanes whose points are in range, and any
     other lane fails the points test, so the failing lanes are exact.
-    The pair tests of L and U cost C(k, 2) column operations, so for k
-    past a bound (`_PAIR_TESTS_PER_POINT`) the blocks are read out of the
-    columns in one pass instead and each set is tested against its shift.
+    The pair tests of L and U cost C(k, 2) column operations, so for one
+    block, or k past a bound (`_PAIR_TESTS_PER_POINT`), each block is read
+    out of the columns instead and its set is tested against its shift.
     """
 
     __slots__ = ("kind", "m", "k", "alpha", "target", "pair", "shifted", "size", "width", "masks")
@@ -247,7 +247,7 @@ class _Rule:
             for c in cols:
                 missing &= _nonzero(c ^ x, low, guard)
             bad |= missing
-        by_sets = self.shifted and k - 1 > 2 * _PAIR_TESTS_PER_POINT
+        by_sets = self.shifted and (n == 1 or k - 1 > 2 * _PAIR_TESTS_PER_POINT)
         if self.shifted and not by_sets:
             apart = [guard] * k  # lanes where column i is no shift of another
             for i, j in combinations(range(k), 2):
@@ -538,14 +538,15 @@ def shift_invariant_blocks(
     check_exponent(m)
     check_shift(alpha, m)
     _check_k(k, 2, (1 << m) - 2, f"shift-invariant family in GF(2^{m})")
-    blocks: tuple[Block, ...] = ()
+    lanes = bytearray()
     if k % 2 == 0:
         bud = _Budget(budget, f"shift-invariant blocks (m={m}, k={k}, alpha={alpha})")
         free = cosets_of(alpha, m)[1:]  # all but the subgroup (0, alpha)
         bud.spend(comb(len(free), k // 2) * k)  # one node per point written
-        combos = combinations(free, k // 2)
-        blocks = tuple(tuple(sorted(chain.from_iterable(c))) for c in combos)
-    return BlockFamily("L", m, k, blocks, alpha=alpha)
+        for c in combinations(free, k // 2):  # packed a block at a time
+            lanes += _pack(sorted(chain.from_iterable(c)), _lane_size(m))
+    lanes = bytes(lanes)  # the bytearray is freed before the check
+    return BlockFamily._from_lanes("L", m, k, lanes, alpha=alpha)
 
 
 def gdd_blocks(

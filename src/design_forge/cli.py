@@ -13,10 +13,10 @@ Conventions:
     nothing is written to --out until the work has finished, so a failed
     run leaves no partial file.
 
-Exit codes: 0 success, 1 verification or cross-check mismatch, 2 usage or
-range errors, 3 enumeration budget exhausted, 4 internal error (any other
-exception; a bug or an environment limit, never a verdict on the design),
-130 interrupted (KeyboardInterrupt).
+Exit codes: 0 success, 1 verification or cross-check mismatch, 2 refused
+input (an `errors.InputError`, or an OSError), 3 enumeration budget
+exhausted, 4 internal error (any other exception; a bug or an environment
+limit, never a verdict on the design), 130 interrupted (KeyboardInterrupt).
 """
 
 from __future__ import annotations
@@ -31,17 +31,7 @@ import time
 from itertools import chain
 
 from . import blocks, designs, params
-from .errors import (
-    ArgumentError,
-    BudgetExceededError,
-    ContainmentError,
-    FamilyError,
-    InvalidShiftError,
-    PartitionError,
-    RangeError,
-    ShapeError,
-    StateError,
-)
+from .errors import ArgumentError, BudgetExceededError, InputError
 from .field import check_exponent
 
 EXIT_OK = 0
@@ -50,18 +40,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130
-
-_USAGE_ERRORS = (
-    ArgumentError,
-    ContainmentError,
-    FamilyError,
-    InvalidShiftError,
-    PartitionError,
-    RangeError,
-    ShapeError,
-    StateError,
-    OSError,
-)
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -334,6 +312,17 @@ def cmd_params(args) -> int:
 # crosscheck
 
 
+def _ratio(num: int, den: int) -> str:
+    """num / den as an integer, or as the text 'num/den' if it is not one."""
+    quotient, rest = divmod(num, den)
+    return f"{num}/{den}" if rest else str(quotient)
+
+
+def _distinct(values) -> str:
+    """The distinct values as text, sorted and joined by '|'."""
+    return "|".join(sorted(set(map(str, values))))
+
+
 def cmd_crosscheck(args) -> int:
     m_lo, m_hi = _parse_span(args.m)
     check_exponent(m_lo)
@@ -390,20 +379,20 @@ def cmd_crosscheck(args) -> int:
             )
             if args.gdd:
                 reports = [_gdd_report(m, k, a, args.budget) for a in range(1, 2 << m)]
-                observed = {x.cross_group_lambda if x.passed else "unbalanced" for x in reports}
-                # The recurrence implies a block count: every one of the
-                # cross-group pairs is covered lambda' times, each block
-                # covering C(k, 2) of them, summed over all shifts.
+                lam = row.gdd_balance
+                # The recurrence implies the counts: a block covers C(k, 2)
+                # cross-group pairs, each covered lambda' times, and k - 1
+                # of the 2^(m+1) - 4 cross partners of each of its points.
                 points = (2 << m) - 2
                 cross_pairs = points * (points - 1) // 2 - ((1 << m) - 1)
-                numerator = ((2 << m) - 1) * row.gdd_balance * cross_pairs
-                denominator = k * (k - 1) // 2
-                quotient, rest = divmod(numerator, denominator)
-                expected_blocks = f"{numerator}/{denominator}" if rest else quotient
+                per_block = k * (k - 1) // 2
+                rs = chain.from_iterable(x.r_histogram if x.passed else ["unbalanced"] for x in reports)
                 record(
                     m, k, "gdd",
-                    sum(x.b for x in reports), expected_blocks,
-                    "|".join(sorted(map(str, observed))), str(row.gdd_balance),
+                    sum(x.b for x in reports), _ratio(((2 << m) - 1) * lam * cross_pairs, per_block),
+                    _distinct(x.cross_group_lambda if x.passed else "unbalanced" for x in reports), lam,
+                    ("blocks_per_alpha", _distinct(x.b for x in reports), _ratio(lam * cross_pairs, per_block)),
+                    ("replication", _distinct(rs), _ratio(lam * (points - 2), k - 1)),
                 )
     _write_output(_csv_text(out_rows), args.out)
     if mismatches:
@@ -494,10 +483,6 @@ def main(argv=None) -> int:
         args.m_single = _single(args.m, "--m") if args.command != "crosscheck" else None
         if getattr(args, "budget", 1) <= 0:
             raise ArgumentError(f"budget must be positive, got {args.budget}")
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.handler(args)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
@@ -505,7 +490,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _USAGE_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -9,15 +9,19 @@ class DesignForgeError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidShiftError(DesignForgeError, ValueError):
+class InputError(DesignForgeError, ValueError):
+    """Refused input, not a fault: the CLI exits 2 for every subclass."""
+
+
+class InvalidShiftError(InputError):
     """The coset-defining shift must be a nonzero element of the field."""
 
 
-class RangeError(DesignForgeError, ValueError):
+class RangeError(InputError):
     """An exponent or block size is outside its supported range."""
 
 
-class ArgumentError(DesignForgeError, ValueError):
+class ArgumentError(InputError):
     """Arguments violate a documented precondition."""
 
 
@@ -40,7 +44,7 @@ class NoRepresentativeError(DesignForgeError):
     so no representative exists."""
 
 
-class FamilyError(DesignForgeError, ValueError):
+class FamilyError(InputError):
     """A block does not satisfy the defining predicate of its family."""
 
 
@@ -58,15 +62,15 @@ class MapViolationError(DesignForgeError):
         self.reason = reason
 
 
-class ShapeError(DesignForgeError, ValueError):
+class ShapeError(InputError):
     """Blocks or groups do not share a uniform size, or a block repeats a point."""
 
 
-class ContainmentError(DesignForgeError, ValueError):
+class ContainmentError(InputError):
     """A block or group uses a point outside the declared point set."""
 
 
-class PartitionError(DesignForgeError, ValueError):
+class PartitionError(InputError):
     """A group is malformed (it repeats a point)."""
 
 

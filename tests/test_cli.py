@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from design_forge import blocks, cli, params
+from design_forge import blocks, cli, errors, params
 from design_forge.errors import ConsistencyError
 from helpers import run_cli, run_python
 
@@ -291,6 +291,35 @@ class TestCrosscheck:
             "m,k,check,field,observed,expected",
             "3,3,gdd,blocks,419,420",
             "3,3,gdd,lambda,1|unbalanced,1",
+            "3,3,gdd,blocks_per_alpha,27|28,28",
+            "3,3,gdd,replication,6|unbalanced,6",
+        ]
+
+    def test_perturbed_lifted_balance_checks_each_alpha(self, monkeypatch, capsys):
+        # lambda'_3 off by one: the summed count, lambda', the count per
+        # alpha and r' each disagree with what the enumeration shows.
+        real = params.param_table
+
+        def perturbed(m):
+            table = real(m)
+            rows = dict(table.rows)
+            row = rows[3]
+            rows[3] = params.ParamRow(row.blocks, row.replication, row.balance, row.gdd_balance + 1)
+            return params.ParamTable(table.m, rows)
+
+        monkeypatch.setattr(params, "param_table", perturbed)
+        assert cli.main(["crosscheck", "--m", "3", "--k", "3", "--gdd"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "3,3,bibd,7,7,1,1,yes",
+            "3,3,gdd,420,840,1,2,no",
+        ]
+        assert captured.err.splitlines() == [
+            "m,k,check,field,observed,expected",
+            "3,3,gdd,blocks,420,840",
+            "3,3,gdd,lambda,1,2",
+            "3,3,gdd,blocks_per_alpha,28,56",
+            "3,3,gdd,replication,6,12",
         ]
 
     def test_byte_identical_reruns(self):
@@ -600,6 +629,27 @@ class TestUsage:
         monkeypatch.setattr(params, "param_table", broken)
         assert cli.main(["params", "--m", "3"]) == 4
         assert capsys.readouterr().err == "error: internal: ConsistencyError: forced\n"
+
+    def test_any_input_error_exits_2(self, monkeypatch, capsys):
+        class Refused(errors.InputError):
+            pass
+
+        def refusing(args):
+            raise Refused("refused input")
+
+        monkeypatch.setattr(cli, "cmd_params", refusing)
+        assert cli.main(["params", "--m", "3"]) == 2
+        assert capsys.readouterr().err == "error: refused input\n"
+
+    def test_failure_before_the_command_exits_4(self, monkeypatch, capsys):
+        def broken(text, flag):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(cli, "_single", broken)
+        assert cli.main(["params", "--m", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: RuntimeError: forced\n"
 
     def test_in_process_main_matches_subprocess_contract(self, capsys):
         assert cli.main(["params", "--m", "3"]) == 0
