@@ -30,6 +30,7 @@ from typing import Callable, Iterator
 from .errors import (
     ArgumentError,
     BudgetExceededError,
+    ConsistencyError,
     FamilyError,
     RangeError,
 )
@@ -469,6 +470,14 @@ def _xor_subsets(
     return out
 
 
+def _enumerated(build, *args, **kwargs) -> BlockFamily:
+    """An enumerator's family: its own bad block is a bug, not input."""
+    try:
+        return build(*args, **kwargs)
+    except FamilyError as exc:
+        raise ConsistencyError(f"enumerated {exc}") from exc
+
+
 def _check_k(k: int, lo: int, hi: int, what: str) -> None:
     if not isinstance(k, int) or not lo <= k <= hi:
         raise RangeError(f"{what}: block size must be in {lo}..{hi}, got {k!r}")
@@ -479,7 +488,7 @@ def zero_sum_blocks(m: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockF
     check_exponent(m)
     _check_k(k, 3, (1 << m) - 4, f"zero-sum family in GF(2^{m})")
     bud = _Budget(budget, f"zero-sum blocks (m={m}, k={k})")
-    return BlockFamily("W", m, k, tuple(_xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)))
+    return _enumerated(BlockFamily, "W", m, k, tuple(_xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)))
 
 
 def zero_sum_blocks_containing(
@@ -499,7 +508,7 @@ def zero_sum_blocks_containing(
     ground = tuple(x for x in nonzero_elements(m) if x != i and x != j)
     rest = _xor_subsets(ground, k - 2, i ^ j, bud)
     blocks = tuple(tuple(sorted((*r, i, j))) for r in rest)
-    return BlockFamily("Wpair", m, k, blocks, pair=(i, j))
+    return _enumerated(BlockFamily, "Wpair", m, k, blocks, pair=(i, j))
 
 
 def sum_to_shift_blocks(
@@ -511,7 +520,7 @@ def sum_to_shift_blocks(
     _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
     bud = _Budget(budget, f"sum-to-shift blocks (m={m}, k={k}, alpha={alpha})")
     ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    return BlockFamily("I", m, k, tuple(_xor_subsets(ground, k, alpha, bud)), alpha=alpha)
+    return _enumerated(BlockFamily, "I", m, k, tuple(_xor_subsets(ground, k, alpha, bud)), alpha=alpha)
 
 
 def sum_to_zero_blocks(
@@ -523,7 +532,7 @@ def sum_to_zero_blocks(
     _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
     bud = _Budget(budget, f"sum-to-zero blocks (m={m}, k={k}, alpha={alpha})")
     ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    return BlockFamily("J", m, k, tuple(_xor_subsets(ground, k, 0, bud)), alpha=alpha)
+    return _enumerated(BlockFamily, "J", m, k, tuple(_xor_subsets(ground, k, 0, bud)), alpha=alpha)
 
 
 def shift_invariant_blocks(
@@ -546,7 +555,7 @@ def shift_invariant_blocks(
         for c in combinations(free, k // 2):  # packed a block at a time
             lanes += _pack(sorted(chain.from_iterable(c)), _lane_size(m))
     lanes = bytes(lanes)  # the bytearray is freed before the check
-    return BlockFamily._from_lanes("L", m, k, lanes, alpha=alpha)
+    return _enumerated(BlockFamily._from_lanes, "L", m, k, lanes, alpha=alpha)
 
 
 def gdd_blocks(
@@ -603,7 +612,7 @@ def gdd_blocks(
     while keys:  # a chunk at a time: one join of every key takes ~80 bytes a key
         lanes += b"".join(keys[:_CHUNK])
         del keys[:_CHUNK]
-    return BlockFamily._from_lanes("U", ambient_exp, k, bytes(lanes), alpha=alpha)
+    return _enumerated(BlockFamily._from_lanes, "U", ambient_exp, k, bytes(lanes), alpha=alpha)
 
 
 def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:
@@ -613,4 +622,4 @@ def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
     pairs = cosets_of(alpha, ambient_exp)[1:]
-    return BlockFamily("U", ambient_exp, 2, tuple(pairs), alpha=alpha)
+    return _enumerated(BlockFamily, "U", ambient_exp, 2, tuple(pairs), alpha=alpha)

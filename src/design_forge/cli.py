@@ -312,17 +312,6 @@ def cmd_params(args) -> int:
 # crosscheck
 
 
-def _ratio(num: int, den: int) -> str:
-    """num / den as an integer, or as the text 'num/den' if it is not one."""
-    quotient, rest = divmod(num, den)
-    return f"{num}/{den}" if rest else str(quotient)
-
-
-def _distinct(values) -> str:
-    """The distinct values as text, sorted and joined by '|'."""
-    return "|".join(sorted(set(map(str, values))))
-
-
 def cmd_crosscheck(args) -> int:
     m_lo, m_hi = _parse_span(args.m)
     check_exponent(m_lo)
@@ -379,20 +368,22 @@ def cmd_crosscheck(args) -> int:
             )
             if args.gdd:
                 reports = [_gdd_report(m, k, a, args.budget) for a in range(1, 2 << m)]
-                lam = row.gdd_balance
-                # The recurrence implies the counts: a block covers C(k, 2)
-                # cross-group pairs, each covered lambda' times, and k - 1
-                # of the 2^(m+1) - 4 cross partners of each of its points.
+                observed = {x.cross_group_lambda if x.passed else "unbalanced" for x in reports}
+                # The recurrence implies a block count: every one of the
+                # cross-group pairs is covered lambda' times, each block
+                # covering C(k, 2) of them, summed over all shifts. A passing
+                # report's b and r follow from its lambda the same way, so
+                # lambda' checks them too.
                 points = (2 << m) - 2
                 cross_pairs = points * (points - 1) // 2 - ((1 << m) - 1)
-                per_block = k * (k - 1) // 2
-                rs = chain.from_iterable(x.r_histogram if x.passed else ["unbalanced"] for x in reports)
+                numerator = ((2 << m) - 1) * row.gdd_balance * cross_pairs
+                denominator = k * (k - 1) // 2
+                quotient, rest = divmod(numerator, denominator)
+                expected_blocks = f"{numerator}/{denominator}" if rest else quotient
                 record(
                     m, k, "gdd",
-                    sum(x.b for x in reports), _ratio(((2 << m) - 1) * lam * cross_pairs, per_block),
-                    _distinct(x.cross_group_lambda if x.passed else "unbalanced" for x in reports), lam,
-                    ("blocks_per_alpha", _distinct(x.b for x in reports), _ratio(lam * cross_pairs, per_block)),
-                    ("replication", _distinct(rs), _ratio(lam * (points - 2), k - 1)),
+                    sum(x.b for x in reports), expected_blocks,
+                    "|".join(sorted(map(str, observed))), str(row.gdd_balance),
                 )
     _write_output(_csv_text(out_rows), args.out)
     if mismatches:

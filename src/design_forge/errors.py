@@ -79,8 +79,8 @@ class StateError(DesignForgeError, RuntimeError):
 
 
 class ConsistencyError(DesignForgeError, ArithmeticError):
-    """An exact-arithmetic identity failed.
+    """An exact-arithmetic identity, or an enumerator's own block, failed.
 
-    The recurrences only ever divide when divisibility is guaranteed, so
-    this signals an implementation bug rather than bad input.
+    The recurrences divide only when divisibility is guaranteed, and the
+    enumerators build only members, so this is a bug, never bad input.
     """

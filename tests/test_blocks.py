@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 import design_forge.blocks as blocks_module
+import design_forge.field as field_module
 from design_forge.blocks import (
     BlockFamily,
     family_predicate,
@@ -26,6 +27,7 @@ from design_forge.blocks import (
 from design_forge.errors import (
     ArgumentError,
     BudgetExceededError,
+    ConsistencyError,
     FamilyError,
     InvalidShiftError,
     MapViolationError,
@@ -525,6 +527,18 @@ class TestFamilyPlumbing:
             BlockFamily._from_lanes("U", 5, 4, bytes(lanes), alpha=1)
         assert str(exc.value) == f"block {b} violates the U predicate"
 
+    def test_an_enumerators_own_bad_block_is_a_consistency_error(self, monkeypatch):
+        # A bad block the enumerator made is a fault of ours, not refused input.
+        monkeypatch.setattr(blocks_module, "cosets_of", lambda alpha, m: field_module.cosets_of(2, m))
+        with pytest.raises(ConsistencyError) as exc:
+            shift_invariant_blocks(4, 4, 1)  # built from the cosets of 2, checked against 1
+        assert str(exc.value) == "enumerated block (1, 3, 4, 6) violates the L predicate"
+        assert isinstance(exc.value.__cause__, FamilyError)
+        monkeypatch.setattr(blocks_module, "_xor_subsets", lambda *args: [(1, 2, 4)])
+        with pytest.raises(ConsistencyError) as exc:
+            zero_sum_blocks(3, 3)
+        assert str(exc.value) == "enumerated block (1, 2, 4) violates the W predicate"
+
     def test_predicates_require_their_parameters(self):
         for kind in ("I", "J", "L", "U"):
             with pytest.raises(ArgumentError, match=f"family '{kind}' needs a shift alpha"):
@@ -677,7 +691,8 @@ class TestPredicateOracles:
 
 @pytest.fixture(params=["columns", "sets"])
 def set_test_form(request, monkeypatch):
-    """Force L's and U's set condition onto one form of the check."""
+    """Force L's and U's set condition on a chunk of two or more blocks
+    onto one form of the check; a single block always takes the set form."""
     limit = 10**9 if request.param == "columns" else 0
     monkeypatch.setattr(blocks_module, "_PAIR_TESTS_PER_POINT", limit)
     return request.param
@@ -797,11 +812,16 @@ class TestLaneCheck:
 
     @pytest.mark.parametrize("kind,alpha", [("L", 6), ("U", 6), ("L", 1), ("U", 9)])
     def test_set_condition_is_brute_force_membership(self, set_test_form, kind, alpha):
-        preds = [family_predicate(kind, 4, k, alpha=alpha) for k in range(8)]
-        for k, pred in enumerate(preds):
+        # The predicate checks one block; the block twice over is a chunk
+        # of two, which takes the form `set_test_form` forces.
+        for k in range(8):
+            pred = family_predicate(kind, 4, k, alpha=alpha)
+            rule = blocks_module._Rule(kind, 4, k, alpha, None)
             members = set(_brute_family(kind, 4, k, alpha, None))
             for b in combinations(range(1, 16), k):
                 assert pred(b) == pred(b[::-1]) == (b in members), b
+                twice = blocks_module._columns(blocks_module._pack(b + b, 1), k, 1)
+                assert rule.first_bad(twice, 2) == (None if b in members else 0), b
 
     @pytest.mark.parametrize(
         "build,args,fault",

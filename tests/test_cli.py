@@ -291,13 +291,11 @@ class TestCrosscheck:
             "m,k,check,field,observed,expected",
             "3,3,gdd,blocks,419,420",
             "3,3,gdd,lambda,1|unbalanced,1",
-            "3,3,gdd,blocks_per_alpha,27|28,28",
-            "3,3,gdd,replication,6|unbalanced,6",
         ]
 
-    def test_perturbed_lifted_balance_checks_each_alpha(self, monkeypatch, capsys):
-        # lambda'_3 off by one: the summed count, lambda', the count per
-        # alpha and r' each disagree with what the enumeration shows.
+    def test_perturbed_lifted_balance_exits_1(self, monkeypatch, capsys):
+        # lambda'_3 off by one: the summed count and lambda' both disagree
+        # with what the enumeration shows.
         real = params.param_table
 
         def perturbed(m):
@@ -318,8 +316,6 @@ class TestCrosscheck:
             "m,k,check,field,observed,expected",
             "3,3,gdd,blocks,420,840",
             "3,3,gdd,lambda,1,2",
-            "3,3,gdd,blocks_per_alpha,28,56",
-            "3,3,gdd,replication,6,12",
         ]
 
     def test_byte_identical_reruns(self):
@@ -650,6 +646,15 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: internal: RuntimeError: forced\n"
+
+    def test_an_enumerators_own_bad_block_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(blocks, "_xor_subsets", lambda *args: [(1, 2, 4)])
+        assert cli.main(["enumerate", "--m", "3", "--k", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal: ConsistencyError: enumerated block (1, 2, 4) violates the W predicate\n"
+        )
 
     def test_in_process_main_matches_subprocess_contract(self, capsys):
         assert cli.main(["params", "--m", "3"]) == 0
