@@ -28,7 +28,7 @@ import os
 import sys
 import tempfile
 import time
-from itertools import chain
+from itertools import chain, islice
 
 from . import blocks, designs, params
 from .errors import ArgumentError, BudgetExceededError, InputError
@@ -256,11 +256,8 @@ def cmd_verify_gdd(args) -> int:
 # params
 
 
-def _param_rows(m: int):
-    """The table's CSV rows, each made as it is written."""
-    table = params.param_table(m)
-    closed = params.closed_forms(m)
-    top = (1 << m) - 3
+def _param_rows(m: int, rows):
+    """The table's CSV rows, each formatted as it is written."""
     header = [
         "k",
         "b_k",
@@ -270,41 +267,41 @@ def _param_rows(m: int):
         "closed_lambda_k",
         "reference_lambda_prime_k",
     ]
+    closed_top = 7 if m >= 4 else 4  # the closed forms' range
 
-    def row(k: int) -> list[str]:
-        cells = table.rows[k]
-        closed_cell = str(closed[k][0]) if k in closed else ""
+    def row(values) -> list[str]:
+        k = values[0]
+        closed_cell = str(params.closed_form_balance(m, k)) if 3 <= k <= closed_top else ""
         reference_cell = (
             str(params.reference_gdd_balance(m, k)) if 3 <= k <= 7 else ""
         )
-        return [
-            str(k),
-            str(cells.blocks),
-            str(cells.replication),
-            str(cells.balance),
-            str(cells.gdd_balance),
-            closed_cell,
-            reference_cell,
-        ]
+        return [*map(str, values), closed_cell, reference_cell]
 
-    return chain([header], map(row, range(2, top + 1)))
+    return chain([header], map(row, rows))
 
 
 def cmd_params(args) -> int:
-    # b_k has ~0.3 * 2^m digits, past Python's int-to-str limit from m = 14.
-    # The limit guards parsing outside text, which params does not do after
-    # argparse, so it is lifted only while the table is formatted, which
-    # is while it is written.
-    rows = _param_rows(args.m_single)
-    if not hasattr(sys, "set_int_max_str_digits"):  # this Python has no limit
-        _write_output(_csv_text(rows), args.out)
-        return EXIT_OK
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        _write_output(_csv_text(rows), args.out)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # The rows are stepped in exact decimals because a Decimal's str() is
+    # linear in its digits, where str(int) is quadratic. The context holds
+    # every value exactly, and a value it would have to round raises
+    # (exit 4) instead of being printed. The rows are made and formatted
+    # inside it, so the caller's context is never changed.
+    import decimal
+
+    m = args.m_single
+    check_exponent(m)
+    top = (1 << m) - 3
+    lo, hi = (2, top) if args.k is None else _parse_span(args.k)
+    if lo < 2 or hi > top:
+        raise ArgumentError(f"--k {args.k} is outside 2..{top} for --m {m}")
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+               decimal.Inexact, decimal.Rounded],
+    )
+    with decimal.localcontext(exact):
+        rows = islice(params.parameter_rows(m, decimal.Decimal(1)), lo - 2, hi - 1)
+        _write_output(_csv_text(_param_rows(m, rows)), args.out)
     return EXIT_OK
 
 
@@ -448,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="exact parameter table (recurrences only) as CSV")
     _add_common(p, k_flag=False, budget=False)
+    p.add_argument("--k", help="print only the rows of these block sizes (an int or a..b range)")
     p.set_defaults(handler=cmd_params)
 
     p = sub.add_parser(

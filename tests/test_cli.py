@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import json
 import sys
@@ -146,6 +147,7 @@ PARAMS_DIGESTS = {
     10: "fede7448685b920e072c1b143bac2223b39f90cf008f3e0022e15b1db448e22b",
     11: "59df787821039447e88c58e12fc38b4b902c7e126cd311ed8ea6c5e3e486c992",
     12: "21133e8b664ec04ef2ee9b472f0832333587da8fdc321ed79c7acc0b954678ab",
+    13: "b11b2fa699372be232fe03ef04b1d44cc6bc67c33b0189b9a48cb70d385dd098",
 }
 
 
@@ -196,6 +198,53 @@ class TestParams:
     def test_jsonl_format_rejected_for_params(self):
         proc = run_cli(["params", "--m", "4", "--format", "jsonl"])
         assert proc.returncode == 2
+
+    def test_k_span_prints_those_rows_of_a_large_table(self):
+        start = time.perf_counter()
+        proc = run_cli(["params", "--m", "16", "--k", "3..7"])
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0
+        lines = proc.stdout.decode().split("\r\n")
+        assert lines[0].startswith("k,b_k,") and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [row[0] for row in rows] == ["3", "4", "5", "6", "7"]
+        assert all(row[5] == row[3] for row in rows)  # closed_lambda_k == lambda_k
+
+    def test_k_span_over_every_row_is_the_whole_table(self):
+        assert run_cli(["params", "--m", "5", "--k", "2..29"]).stdout == run_cli(["params", "--m", "5"]).stdout
+
+    @pytest.mark.parametrize("span", ["30", "1..4", "0", "5..3"])
+    def test_k_outside_the_table_exits_2(self, span):
+        proc = run_cli(["params", "--m", "5", "--k", span])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+
+    def test_the_callers_decimal_context_neither_changes_nor_rounds_the_table(self, tmp_path, capsys):
+        # A 5-digit context in the calling process would round every large
+        # cell; params formats in a context of its own and restores this one.
+        out = tmp_path / "table.csv"
+        context = decimal.getcontext()
+        saved = context.prec
+        context.prec = 5
+        try:
+            assert cli.main(["params", "--m", "9", "--out", str(out)]) == 0
+            assert decimal.getcontext().prec == 5
+        finally:
+            context.prec = saved
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PARAMS_DIGESTS[9]
+
+    def test_a_value_that_would_be_rounded_exits_4(self, monkeypatch, tmp_path, capsys):
+        # C(63, k) * (63 - k) passes 10 digits at k = 7, long before the
+        # 17-digit b_k: at 10 digits the first rounding raises, so nothing
+        # rounded is printed.
+        out = tmp_path / "table.csv"
+        out.write_text("old")
+        monkeypatch.setattr(decimal, "MAX_PREC", 10)
+        assert cli.main(["params", "--m", "6", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(("error: internal: Inexact", "error: internal: Rounded")), err
+        assert out.read_text() == "old"
 
 
 class TestCrosscheck:
@@ -619,10 +668,10 @@ class TestUsage:
         assert captured.err == "error: interrupted\n"
 
     def test_internal_error_exits_4(self, monkeypatch, capsys):
-        def broken(m):
+        def broken(m, unit=1):
             raise ConsistencyError("forced")
 
-        monkeypatch.setattr(params, "param_table", broken)
+        monkeypatch.setattr(params, "parameter_rows", broken)
         assert cli.main(["params", "--m", "3"]) == 4
         assert capsys.readouterr().err == "error: internal: ConsistencyError: forced\n"
 

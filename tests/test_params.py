@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from math import comb
 
 import pytest
@@ -55,6 +56,12 @@ class TestWeightCounts:
     @pytest.mark.parametrize("m", range(3, 11))
     def test_matches_the_closed_form_enumerator(self, m):
         assert hamming_weight_counts(m, 2**m - 1) == hamming_weight_enumerator(m)
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_every_k_max_is_a_prefix(self, m):
+        v = 2**m - 1
+        full = hamming_weight_counts(m, v)
+        assert all(hamming_weight_counts(m, k_max) == full[: k_max + 1] for k_max in range(v + 1))
 
     def test_k_max_out_of_range(self):
         with pytest.raises(RangeError):
@@ -207,6 +214,12 @@ class TestParamTable:
         assert (row2.blocks, row2.replication, row2.balance, row2.gdd_balance) == (0, 0, 0, 0)
         top = table.rows[13]
         assert (top.replication, top.balance, top.gdd_balance) == (0, 0, 0)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_values_are_ints(self, m):
+        rows = param_table(m).rows.values()
+        assert all(type(x) is int for row in rows for x in astuple(row))
+        assert all(type(x) is int for x in hamming_weight_counts(m, 2**m - 1))
 
     def test_consistency_error_is_reachable(self):
         with pytest.raises(ConsistencyError):
