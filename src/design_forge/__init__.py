@@ -44,13 +44,10 @@ from .errors import (
 )
 from .field import cosets_of, nonzero_elements
 from .params import (
-    ParamRow,
-    ParamTable,
     closed_form_balance,
     closed_form_gdd_balance,
-    closed_forms,
     hamming_weight_counts,
-    param_table,
+    parameter_rows,
     reference_gdd_balance,
 )
 
@@ -69,15 +66,12 @@ __all__ = [
     "FamilyError",
     "GddReport",
     "InvalidShiftError",
-    "ParamRow",
-    "ParamTable",
     "PartitionError",
     "RangeError",
     "ShapeError",
     "StateError",
     "closed_form_balance",
     "closed_form_gdd_balance",
-    "closed_forms",
     "cosets_of",
     "family_predicate",
     "gdd_blocks",
@@ -85,7 +79,7 @@ __all__ = [
     "hamming_weight_counts",
     "nonzero_elements",
     "observed_params",
-    "param_table",
+    "parameter_rows",
     "reference_gdd_balance",
     "shift_invariant_blocks",
     "sum_to_shift_blocks",

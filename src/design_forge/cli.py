@@ -162,6 +162,12 @@ def cmd_enumerate(args) -> int:
 # verify
 
 
+def _differs(got, expected) -> bool:
+    """A header field is refused unless it has the expected value and type:
+    3.0 is not 3, and true is not 1."""
+    return got != expected or type(got) is not type(expected)
+
+
 def _read_jsonl_blocks(
     path: str, expect_m: int, expect_k: int, expect_family: str, expect_alpha: int | None
 ) -> list[tuple[int, ...]]:
@@ -181,11 +187,11 @@ def _read_jsonl_blocks(
                         raise TypeError
                 except (ValueError, KeyError, TypeError):
                     raise ArgumentError(f"{path}:{n}: not a block record") from None
-                if obj.get("m") != expect_m:
+                if _differs(obj.get("m"), expect_m):
                     raise ArgumentError(
                         f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})"
                     )
-                if obj.get("k") != expect_k:
+                if _differs(obj.get("k"), expect_k):
                     raise ArgumentError(
                         f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
                     )
@@ -195,7 +201,7 @@ def _read_jsonl_blocks(
                     raise ArgumentError(
                         f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
                     )
-                if obj.get("alpha") != expect_alpha:
+                if _differs(obj.get("alpha"), expect_alpha):
                     raise ArgumentError(
                         f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
                     )
@@ -346,23 +352,18 @@ def cmd_crosscheck(args) -> int:
         mismatches.extend(bad)
 
     for m in range(m_lo, m_hi + 1):
-        table = None
-        top = (1 << m) - 4
-        for k in range(max(k_lo, 3), min(k_hi, top) + 1):
+        lo, hi = max(k_lo, 3), min(k_hi, (1 << m) - 4)
+        rows = islice(params.parameter_rows(m), lo - 2, hi - 1)
+        for k in range(lo, hi + 1):
             report = _bibd_report(m, k, args.budget)
-            # Only once a search fits its budget: from m = 16 the table takes seconds.
-            table = table or params.param_table(m)
-            row = table.rows[k]
+            # Row k is made only once k's search has fit its budget, and the
+            # rows past --k never are: row k takes O(k) steps of the recurrences.
+            _, b_k, r_k, lam_k, lp_k = next(rows)
             if report.passed:
                 _, b, r, lam = designs.observed_params(report)
             else:
                 b, r, lam = report.b, "unbalanced", "unbalanced"
-            record(
-                m, k, "bibd",
-                b, row.blocks,
-                lam, row.balance,
-                ("replication", r, row.replication),
-            )
+            record(m, k, "bibd", b, b_k, lam, lam_k, ("replication", r, r_k))
             if args.gdd:
                 reports = [_gdd_report(m, k, a, args.budget) for a in range(1, 2 << m)]
                 observed = {x.cross_group_lambda if x.passed else "unbalanced" for x in reports}
@@ -373,14 +374,14 @@ def cmd_crosscheck(args) -> int:
                 # lambda' checks them too.
                 points = (2 << m) - 2
                 cross_pairs = points * (points - 1) // 2 - ((1 << m) - 1)
-                numerator = ((2 << m) - 1) * row.gdd_balance * cross_pairs
+                numerator = ((2 << m) - 1) * lp_k * cross_pairs
                 denominator = k * (k - 1) // 2
                 quotient, rest = divmod(numerator, denominator)
                 expected_blocks = f"{numerator}/{denominator}" if rest else quotient
                 record(
                     m, k, "gdd",
                     sum(x.b for x in reports), expected_blocks,
-                    "|".join(sorted(map(str, observed))), str(row.gdd_balance),
+                    "|".join(sorted(map(str, observed))), str(lp_k),
                 )
     _write_output(_csv_text(out_rows), args.out)
     if mismatches:

@@ -17,7 +17,6 @@ exactly by identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import factorial
 
@@ -112,38 +111,6 @@ def reference_gdd_balance(m: int, k: int) -> int:
     return _exact_div(num, factorial(k - 2), "reference balance")
 
 
-def closed_forms(m: int) -> dict[int, tuple[int, int]]:
-    """Both closed-form columns (lambda_k, lambda'_k) for k = 3..7.
-
-    At m = 3 only the k = 3, 4 rows exist (the larger k fall outside the
-    design range entirely), so only those are returned.
-    """
-    check_exponent(m)
-    hi = 7 if m >= 4 else 4
-    return {
-        k: (closed_form_balance(m, k), closed_form_gdd_balance(m, k))
-        for k in range(3, hi + 1)
-    }
-
-
-@dataclass(frozen=True)
-class ParamRow:
-    """One row of the parameter table: counts for a single block size."""
-
-    blocks: int       # b_k, number of blocks
-    replication: int  # r_k, blocks through a fixed point
-    balance: int      # lambda_k, blocks through a fixed pair
-    gdd_balance: int  # lambda'_k for the lifted design in GF(2^(m+1))
-
-
-@dataclass(frozen=True)
-class ParamTable:
-    """All parameter rows for GF(2^m), k = 2 .. 2^m - 3, recurrence only."""
-
-    m: int
-    rows: dict[int, ParamRow]
-
-
 def _weight_step(k: int, v: int, prev, b, c):
     """One step of the weight recursion: from b_{k-1}, b_k and C(v, k) to
     b_k, b_{k+1} and C(v, k+1). C(v, k) * (v - k) divides by k + 1 exactly."""
@@ -220,23 +187,17 @@ def parameter_rows(m: int, unit=1):
         raise ConsistencyError(f"weight recursion ends at b_{v - 1} = {prev}, b_{v} = {b}")
 
 
-def param_table(m: int) -> ParamTable:
-    """Assemble the full table for GF(2^m), with int values, from
-    `parameter_rows`, without any enumeration."""
-    return ParamTable(m, {k: ParamRow(*row) for k, *row in parameter_rows(m)})
-
-
-# Column views of param_table, kept because perfbench/traced.py wraps these names.
+# Column views of parameter_rows, kept because perfbench/traced.py wraps these names.
 def replication_numbers(m: int) -> dict[int, int]:
     """Per-point block counts r_k, k = 2 .. 2^m - 3."""
-    return {k: row.replication for k, row in param_table(m).rows.items()}
+    return {k: r for k, _, r, _, _ in parameter_rows(m)}
 
 
 def balance_parameters(m: int) -> dict[int, int]:
     """Pair-coverage counts lambda_k, k = 2 .. 2^m - 3."""
-    return {k: row.balance for k, row in param_table(m).rows.items()}
+    return {k: lam for k, _, _, lam, _ in parameter_rows(m)}
 
 
 def gdd_balance_parameters(m: int) -> dict[int, int]:
     """Cross-group coverage counts lambda'_k of the lifted designs, k = 2 .. 2^m - 3."""
-    return {k: row.gdd_balance for k, row in param_table(m).rows.items()}
+    return {k: lp for k, _, _, _, lp in parameter_rows(m)}

@@ -195,7 +195,7 @@ def shift_representative(
 def balance_step(lam_k: int, k: int, m: int) -> int:
     """Single-formula step from lambda_k to lambda_{k+1}.
 
-    Identical to the lambda step of params.param_table, with its sign s
+    Identical to the lambda step of params.parameter_rows, with its sign s
     written as the exact integer -cos(k*pi/2), looked up by k mod 4, and
     the binomial index floor(k/2 - 1) as (k - 2) // 2.
     """

@@ -207,18 +207,16 @@ def test_criterion_9_cli_contract(monkeypatch, capsys):
     rerun = run_cli(["crosscheck", "--m", "3..4", "--k", "3..7"])
     assert rerun.stdout == proc.stdout  # byte-identical reruns
 
-    real = params.param_table
+    real = params.parameter_rows
 
-    def perturbed(m):
-        table = real(m)
-        rows = dict(table.rows)
-        row = rows[4]
-        rows[4] = params.ParamRow(
-            row.blocks + 1, row.replication, row.balance, row.gdd_balance
-        )
-        return params.ParamTable(table.m, rows)
+    def perturbed(m, unit=1):
+        for row in real(m, unit):
+            if row[0] == 4:
+                k, b, r, lam, lp = row
+                row = (k, b + 1, r, lam, lp)
+            yield row
 
-    monkeypatch.setattr(params, "param_table", perturbed)
+    monkeypatch.setattr(params, "parameter_rows", perturbed)
     rc = cli.main(["crosscheck", "--m", "3", "--k", "3..4"])
     captured = capsys.readouterr()
     assert rc == 1

@@ -247,7 +247,37 @@ class TestParams:
         assert out.read_text() == "old"
 
 
+# SHA-256 of `crosscheck` stdout, each span under 2 s. Every cell compares
+# the recurrences' row with what enumeration and the sweep observe, so any
+# change to these bytes is a change of behaviour.
+CROSSCHECK_DIGESTS = {
+    "--m 3..4 --k 3..6 --gdd": "df3ca8e5642a848e932ef49fcbdc67212aa726674f32a84b9c76719f94953687",
+    "--m 3..6 --k 3..5": "8b962a7728fa0e88c109bc32808e8ebe9f063b7f499d2ff71c066d964c989ac0",
+    "--m 7..10 --k 3": "48ecbd76c57d1e3c8e1b92ac4004076336dd7dcb10f21dd7d33c79b377df9b0d",
+}
+
+
 class TestCrosscheck:
+    @pytest.mark.parametrize("span", sorted(CROSSCHECK_DIGESTS))
+    def test_golden_crosscheck_digest(self, span):
+        proc = run_cli(["crosscheck", *span.split()])
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == CROSSCHECK_DIGESTS[span]
+
+    def test_rows_past_the_k_bound_are_never_made(self, monkeypatch, capsys):
+        real = params.parameter_rows
+        made = []
+
+        def recording(m, unit=1):
+            for row in real(m, unit):
+                made.append(row[0])
+                yield row
+
+        monkeypatch.setattr(params, "parameter_rows", recording)
+        assert cli.main(["crosscheck", "--m", "5", "--k", "3..4"]) == 0
+        assert max(made) == 4
+
     def test_sweep_is_clean(self):
         proc = run_cli(["crosscheck", "--m", "3..4", "--k", "3..7"])
         assert proc.returncode == 0
@@ -265,18 +295,16 @@ class TestCrosscheck:
         assert [row.split(",")[5] for row in gdd_rows] == ["1", "4"]
 
     def test_perturbed_table_exits_1(self, monkeypatch, capsys):
-        real = params.param_table
+        real = params.parameter_rows
 
-        def perturbed(m):
-            table = real(m)
-            rows = dict(table.rows)
-            row = rows[3]
-            rows[3] = params.ParamRow(
-                row.blocks, row.replication, row.balance + 1, row.gdd_balance
-            )
-            return params.ParamTable(table.m, rows)
+        def perturbed(m, unit=1):
+            for row in real(m, unit):
+                if row[0] == 3:
+                    k, b, r, lam, lp = row
+                    row = (k, b, r, lam + 1, lp)
+                yield row
 
-        monkeypatch.setattr(params, "param_table", perturbed)
+        monkeypatch.setattr(params, "parameter_rows", perturbed)
         rc = cli.main(["crosscheck", "--m", "3", "--k", "3..4"])
         captured = capsys.readouterr()
         assert rc == 1
@@ -284,16 +312,16 @@ class TestCrosscheck:
         assert "no" in captured.out
 
     def test_perturbed_replication_exits_1(self, monkeypatch, capsys):
-        real = params.param_table
+        real = params.parameter_rows
 
-        def perturbed(m):
-            table = real(m)
-            rows = dict(table.rows)
-            row = rows[4]
-            rows[4] = params.ParamRow(row.blocks, row.replication + 1, row.balance, row.gdd_balance)
-            return params.ParamTable(table.m, rows)
+        def perturbed(m, unit=1):
+            for row in real(m, unit):
+                if row[0] == 4:
+                    k, b, r, lam, lp = row
+                    row = (k, b, r + 1, lam, lp)
+                yield row
 
-        monkeypatch.setattr(params, "param_table", perturbed)
+        monkeypatch.setattr(params, "parameter_rows", perturbed)
         rc = cli.main(["crosscheck", "--m", "3", "--k", "3..4"])
         captured = capsys.readouterr()
         assert rc == 1
@@ -345,16 +373,16 @@ class TestCrosscheck:
     def test_perturbed_lifted_balance_exits_1(self, monkeypatch, capsys):
         # lambda'_3 off by one: the summed count and lambda' both disagree
         # with what the enumeration shows.
-        real = params.param_table
+        real = params.parameter_rows
 
-        def perturbed(m):
-            table = real(m)
-            rows = dict(table.rows)
-            row = rows[3]
-            rows[3] = params.ParamRow(row.blocks, row.replication, row.balance, row.gdd_balance + 1)
-            return params.ParamTable(table.m, rows)
+        def perturbed(m, unit=1):
+            for row in real(m, unit):
+                if row[0] == 3:
+                    k, b, r, lam, lp = row
+                    row = (k, b, r, lam, lp + 1)
+                yield row
 
-        monkeypatch.setattr(params, "param_table", perturbed)
+        monkeypatch.setattr(params, "parameter_rows", perturbed)
         assert cli.main(["crosscheck", "--m", "3", "--k", "3", "--gdd"]) == 1
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == [
@@ -491,6 +519,29 @@ class TestVerifyRoundTrip:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr == f"error: {bad}:1: block size 4, expected 3\n".encode()
+
+    @pytest.mark.parametrize(
+        "argv,field,value,message",
+        [
+            (["verify-bibd"], "m", 3.0, "block lives in GF(2^3.0), expected GF(2^3)"),
+            (["verify-bibd"], "k", 3.0, "block size 3.0, expected 3"),
+            (["verify-gdd", "--alpha", "1"], "alpha", True, "block made for alpha True, expected alpha 1"),
+        ],
+        ids=["float-m", "float-k", "bool-alpha"],
+    )
+    def test_header_field_of_another_type_rejected(self, tmp_path, argv, field, value, message):
+        # Each value equals the expected one under ==; only its type is wrong.
+        exported = tmp_path / "e.jsonl"
+        family = ["--family", "U", "--alpha", "1"] if argv[0] == "verify-gdd" else []
+        assert run_cli(["export", "--m", "3", "--k", "3", *family, "--out", str(exported)]).returncode == 0
+        lines = exported.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record[field] = value
+        exported.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+        proc = run_cli([argv[0], "--m", "3", "--k", "3", *argv[1:], "--blocks", str(exported)])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {exported}:1: {message}\n".encode()
 
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         exported, spaced = tmp_path / "w.jsonl", tmp_path / "spaced.jsonl"
@@ -645,6 +696,16 @@ class TestUsage:
         # The m = 16 table takes seconds; the first search is over budget.
         start = time.perf_counter()
         proc = run_cli(["crosscheck", "--m", "16", "--k", "3"])
+        assert time.perf_counter() - start < 3
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_crosscheck_over_budget_exits_3_before_its_row(self):
+        # Rows 2..30000 of m = 16 take ~10 s; the search for k = 30000 is
+        # over budget, so no row is made.
+        start = time.perf_counter()
+        proc = run_cli(["crosscheck", "--m", "16", "--k", "30000..30001"])
         assert time.perf_counter() - start < 3
         assert proc.returncode == 3
         assert proc.stdout == b""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from math import comb
 
 import pytest
@@ -12,10 +11,9 @@ from design_forge.params import (
     balance_parameters,
     closed_form_balance,
     closed_form_gdd_balance,
-    closed_forms,
     gdd_balance_parameters,
     hamming_weight_counts,
-    param_table,
+    parameter_rows,
     reference_gdd_balance,
     replication_numbers,
 )
@@ -182,7 +180,8 @@ class TestClosedForms:
         assert closed_form_gdd_balance(4, 5) == 64
 
     def test_small_m_limited_to_low_k(self):
-        assert closed_forms(3) == {3: (1, 1), 4: (2, 4)}
+        assert [closed_form_balance(3, k) for k in (3, 4)] == [1, 2]
+        assert [closed_form_gdd_balance(3, k) for k in (3, 4)] == [1, 4]
         with pytest.raises(RangeError):
             closed_form_balance(3, 5)
         with pytest.raises(RangeError):
@@ -205,20 +204,16 @@ class TestClosedForms:
 class TestParamTable:
     @pytest.mark.parametrize("m", range(3, 7))
     def test_rows_cover_the_advertised_range(self, m):
-        table = param_table(m)
-        assert sorted(table.rows) == list(range(2, 2**m - 2))
+        assert [k for k, *_ in parameter_rows(m)] == list(range(2, 2**m - 2))
 
     def test_zero_rows(self):
-        table = param_table(4)
-        row2 = table.rows[2]
-        assert (row2.blocks, row2.replication, row2.balance, row2.gdd_balance) == (0, 0, 0, 0)
-        top = table.rows[13]
-        assert (top.replication, top.balance, top.gdd_balance) == (0, 0, 0)
+        rows = {k: values for k, *values in parameter_rows(4)}
+        assert rows[2] == [0, 0, 0, 0]
+        assert rows[13][1:] == [0, 0, 0]
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_values_are_ints(self, m):
-        rows = param_table(m).rows.values()
-        assert all(type(x) is int for row in rows for x in astuple(row))
+        assert all(type(x) is int for row in parameter_rows(m) for x in row)
         assert all(type(x) is int for x in hamming_weight_counts(m, 2**m - 1))
 
     def test_consistency_error_is_reachable(self):
