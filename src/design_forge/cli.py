@@ -25,9 +25,11 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 import time
+from array import array
 from itertools import chain, islice
 
 from . import blocks, designs, params
@@ -40,6 +42,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130
+
+# Points per chunk of export's text.
+_CHUNK_POINTS = 1 << 14
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -137,10 +142,21 @@ def _enumerate_family(args) -> blocks.BlockFamily:
     return blocks.gdd_blocks(m + 1, k, args.alpha, budget)
 
 
+def _record_head(m: int, k: int, family: str, alpha: int | None) -> str:
+    """A block record's text up to its points."""
+    return json.dumps({"m": m, "k": k, "family": family, "alpha": alpha, "block": []})[:-3]
+
+
 def _jsonl_text(family: blocks.BlockFamily) -> _Text:
-    fields = {"m": family.m, "k": family.k, "family": family.kind, "alpha": family.alpha}
-    head = json.dumps({**fields, "block": []})[:-3]  # the record up to its block
-    return _Text(f"{head}[{', '.join(map(str, block))}]}}\n" for block in family)
+    """The family's records, formatted a chunk of blocks per %-operation.
+    A chunk holds ~16 K points, so its text stays small at any k."""
+    b, k, points = len(family), family.k, chain.from_iterable(family)
+    head = _record_head(family.m, k, family.kind, family.alpha)
+    fmt = head + "[" + ", ".join(["%d"] * k) + "]}\n"  # "%d" % x is str(x)
+    step = max(1, _CHUNK_POINTS // k)
+    return _Text(
+        (fmt * min(step, b - s)) % tuple(islice(points, step * k)) for s in range(0, b, step)
+    )
 
 
 def cmd_enumerate(args) -> int:
@@ -168,12 +184,83 @@ def _differs(got, expected) -> bool:
     return got != expected or type(got) is not type(expected)
 
 
+class _Packed:
+    """Ingested blocks or groups: `points` holds the k points of each of
+    the n items in turn, the one form the verifier reads: bytes, an
+    array("I") or a list, as `_pack` left them. (A plain class: a dataclass
+    would add ~1 ms to every start of the cli.)"""
+
+    __slots__ = ("points", "k", "n")
+
+    def __init__(self, points, k: int, n: int):
+        self.points = bytes(points) if type(points) is bytearray else points
+        self.k, self.n = k, n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def _pack(out, points):
+    """out with points appended, widened as they need it: a bytearray while
+    every point fits a byte, then an array("I"), then a list (a point below
+    0 or past 2^32 - 1). Each step appends all of points or none of them."""
+    if type(out) is bytearray:
+        try:
+            out += bytes(points)
+            return out
+        except ValueError:
+            out = array("I", iter(out))  # array("I", out) would read out's raw bytes
+    if type(out) is array:
+        try:
+            out += array("I", points)
+            return out
+        except OverflowError:
+            out = out.tolist()
+    out += points
+    return out
+
+
+def _read_export(path: str, m: int, k: int, family: str, alpha: int | None) -> _Packed | None:
+    """The blocks of a file whose text is exactly what export writes for
+    these fields, packed as they are read. None for any other file.
+
+    Each ~64 KiB batch of lines is matched whole by one regular
+    expression, then its points are read by one json.loads.
+    """
+    if not 1 <= k < 1 << 32:  # a repeat count that re compiles
+        return None
+    head = _record_head(m, k, family, alpha)
+    point = "(?:0|[1-9][0-9]*)"
+    records = re.compile(rf"(?:{re.escape(head)}\[{point}(?:, {point}){{{k - 1}}}\]\}}\n)*")
+    out = bytearray()
+    with open(path, encoding="utf-8") as fh:
+        if not fh.seekable():  # the per-line reader could not read it again
+            return None
+        while batch := "".join(fh.readlines(1 << 16)):
+            if not records.fullmatch(batch):
+                return None
+            batch = batch.replace(head + "[", "").replace("]}\n", ", ")
+            out = _pack(out, json.loads(f"[{batch[:-2]}]"))
+    return _Packed(out, k, len(out) // k)
+
+
 def _read_jsonl_blocks(
     path: str, expect_m: int, expect_k: int, expect_family: str, expect_alpha: int | None
-) -> list[tuple[int, ...]]:
+) -> _Packed:
     """Re-ingest exported blocks; the engine accepts any well-formed design
-    whose records name the expected field, block size, family and shift."""
-    out = []
+    whose records name the expected field, block size, family and shift.
+
+    export's own text is read in bulk (see `_read_export`). Any other
+    file, or one that cannot be read, is read line by line from the
+    start, and only that reader refuses a file. Both pack as they read.
+    """
+    try:
+        packed = _read_export(path, expect_m, expect_k, expect_family, expect_alpha)
+    except (UnicodeDecodeError, OSError):
+        packed = None
+    if packed is not None:
+        return packed
+    out, count = bytearray(), 0
     try:
         with open(path, encoding="utf-8") as fh:
             for n, line in enumerate(fh, 1):
@@ -205,10 +292,11 @@ def _read_jsonl_blocks(
                     raise ArgumentError(
                         f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
                     )
-                out.append(block)
+                out = _pack(out, block)
+                count += 1
     except UnicodeDecodeError:
         raise ArgumentError(f"{path}: not UTF-8 text") from None
-    return out
+    return _Packed(out, expect_k, count)
 
 
 def _report_json(report: designs.DesignReport) -> str:

@@ -9,10 +9,12 @@ one popcount (O(v^2 * b/64) word operations on v * b bits); above that,
 an array of its blocks' indices, so its row is a count of those blocks'
 points (O(b * k^2) counts on b * k 32-bit entries). Groups are always
 bitsets; a pair is same-group iff its two group bitsets meet, so the
-grouped check is the plain sweep plus that mask. Every collection, a
-BlockFamily through its `points` or any iterable of items, first becomes
-one array of point indices, item after item (see `_indices`), and both
-forms are built from it, bitsets by bit planes of its columns (see
+grouped check is the plain sweep plus that mask. Every collection first
+becomes one array of point indices, item after item (see `_indices`): a
+packed one through its `points` and `k` (a BlockFamily, or the cli's
+ingest of an exported file, which packs its points as it reads them), any
+other iterable of items, such as tuples, by chaining them. Both forms are
+built from that array, bitsets by bit planes of its columns (see
 `_bitset_incidence`). Each form flags the first item with a repeated or
 outside point, and that item is checked here for its size, a repeated
 point and a point outside the point set. Reports keep the full
@@ -93,7 +95,8 @@ def _indices(collection, index: dict, noun: str, repeat_error, empty: str, small
     for a point outside the point set, and fail(j), which raises the first
     defect of item j.
 
-    A family gives its `points` and `k`. Anything else is made a sequence;
+    A packed collection (a family, or the cli's ingest) gives its `points`
+    and `k`. Anything else is made a sequence;
     if its items do not all have the first one's size, or one holds an
     unhashable point, they are checked in order and the first defective
     one raises. No item raises ShapeError(empty), and items of fewer than
