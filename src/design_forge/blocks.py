@@ -11,20 +11,22 @@ A family is held packed: one bytes buffer of k fixed-width lanes per block
 (see `BlockFamily`). Its membership rule is checked on those lanes: a
 chunk of blocks becomes k column ints with one lane per block, and each
 fact of the rule is a few big-int operations over every lane at once (see
-`_Rule`). The lifted family is built in the same columns (see
-`gdd_blocks`). Everything here is pure and immutable.
+`_Rule`). The lifted family is built in the same columns and sorted as
+runs merged by first point (see `gdd_blocks`). Everything here is pure
+and immutable.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, repeat
 from math import comb
 from operator import and_, ge, or_, xor
+from struct import Struct
 from typing import Callable, Iterator
 
 from .errors import (
@@ -581,7 +583,11 @@ def gdd_blocks(
     bases' points become k column ints, each choice of shifts XORs alpha
     into its columns (the last by parity), a sorting network sorts every
     block's points across the columns (`_sort_lanes`), and the blocks are
-    packed. The blocks are then sorted once on their packed keys.
+    packed. Each (chunk, choice) buffer is cut into its blocks' bytes keys
+    by one `struct.Struct` unpack, in C, and sorted into a run. The runs
+    are merged a first point at a time: the blocks that start with p form
+    a slice of each run, so the lift holds the runs, the merged lanes and
+    one such bucket's keys, not a key object per block.
     """
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
@@ -593,25 +599,37 @@ def gdd_blocks(
     size = _lane_size(ambient_exp)
     lifted = _pack(map(section(alpha, ambient_exp).__getitem__, chain.from_iterable(bases)), size)
     del bases
-    pairs, step, keys = _sorting_network(k), k * size, []
+    pairs, step, runs = _sorting_network(k), k * size, []
     for start in range(0, len(lifted), _CHUNK * step):
         chunk = lifted[start : start + _CHUNK * step]
         n = len(chunk) // step
         *head, last = _columns(chunk, k, size)
         shift = _ones(n, 8 * size) * alpha
-        cuts = list(map(slice, range(0, n * step, step), range(step, n * step + step, step)))
+        cut = Struct(f"{step}s" * n)  # n keys of a buffer, cut in C
         for choice in range(1 << (k - 1)):
             # Shift the points of the set bits of `choice`, and the last
             # point iff that leaves an even number shifted.
             cols = [c ^ shift if choice >> j & 1 else c for j, c in enumerate(head)]
             cols.append(last if choice.bit_count() & 1 else last ^ shift)
             _sort_lanes(cols, pairs, n, 8 * size)
-            keys += map(_interleave(cols, n, size).__getitem__, cuts)
-    keys.sort()
-    lanes = bytearray()
-    while keys:  # a chunk at a time: one join of every key takes ~80 bytes a key
-        lanes += b"".join(keys[:_CHUNK])
-        del keys[:_CHUNK]
+            runs.append(b"".join(sorted(cut.unpack(_interleave(cols, n, size)))))
+        del cut
+    # Merge the runs a first point at a time: each run's blocks that start
+    # with p are one slice, found by bisection on its first points.
+    firsts = [run[::step] if size == 1 else _unpack(run, size)[::k] for run in runs]
+    ends, lanes = [0] * len(runs), bytearray()
+    for p in range(1, 1 << ambient_exp):
+        parts = []
+        for r, run in enumerate(runs):
+            lo, hi = ends[r], bisect_right(firsts[r], p, ends[r])
+            if hi > lo:
+                parts.append(run[lo * step : hi * step])
+                ends[r] = hi
+        if len(parts) > 1:  # timsort merges the sorted slices
+            bucket = b"".join(parts)
+            parts = sorted(Struct(f"{step}s" * (len(bucket) // step)).unpack(bucket))
+        lanes += b"".join(parts)
+    del runs, firsts
     return _enumerated(BlockFamily._from_lanes, "U", ambient_exp, k, bytes(lanes), alpha=alpha)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -256,6 +257,33 @@ class TestGddBlocks:
     def test_ambient_32_spot_matches_brute_force(self, alpha):
         for k in (4, 5):
             assert list(gdd_blocks(5, k, alpha)) == brute_gdd_blocks(5, k, alpha)
+
+    @pytest.mark.parametrize("k, alpha", [(k, a) for k in (3, 4, 5) for a in (1, 6, 19, 31)])
+    def test_many_sorted_runs_merge_exactly(self, monkeypatch, k, alpha):
+        """Chunks of 1, 3 and 64 bases make a sorted run per chunk and
+        choice, so most first points have blocks in several runs."""
+        expected = brute_gdd_blocks(5, k, alpha)
+        for chunk in (1, 3, 64):
+            monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
+            assert list(gdd_blocks(5, k, alpha)) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_many_sorted_runs_merge_exactly_in_wide_lanes(self, monkeypatch, chunk):
+        expected = gdd_blocks(8, 3, 129).lanes
+        monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
+        assert gdd_blocks(8, 3, 129).lanes == expected
+
+    def test_the_lift_holds_one_bucket_of_keys_at_a_time(self):
+        """722,176 blocks: 4.1 MiB of lanes, ~42 MiB had every block a key."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            gdd_blocks(6, 6, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_budget_exceeded_names_the_bound(self):
         with pytest.raises(BudgetExceededError) as exc:
