@@ -34,7 +34,7 @@ from itertools import chain, islice
 
 from . import blocks, designs, params
 from .errors import ArgumentError, BudgetExceededError, InputError
-from .field import check_exponent
+from .field import MAX_AMBIENT_EXPONENT, MIN_EXPONENT, check_exponent, check_shift
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -220,80 +220,65 @@ def _pack(out, points):
     return out
 
 
-def _read_export(path: str, m: int, k: int, family: str, alpha: int | None) -> _Packed | None:
-    """The blocks of a file whose text is exactly what export writes for
-    these fields, packed as they are read. None for any other file.
-
-    Each ~64 KiB batch of lines is matched whole by one regular
-    expression, then its points are read by one json.loads.
-    """
-    if not 1 <= k < 1 << 32:  # a repeat count that re compiles
-        return None
-    head = _record_head(m, k, family, alpha)
-    point = "(?:0|[1-9][0-9]*)"
-    records = re.compile(rf"(?:{re.escape(head)}\[{point}(?:, {point}){{{k - 1}}}\]\}}\n)*")
-    out = bytearray()
-    with open(path, encoding="utf-8") as fh:
-        if not fh.seekable():  # the per-line reader could not read it again
-            return None
-        while batch := "".join(fh.readlines(1 << 16)):
-            if not records.fullmatch(batch):
-                return None
-            batch = batch.replace(head + "[", "").replace("]}\n", ", ")
-            out = _pack(out, json.loads(f"[{batch[:-2]}]"))
-    return _Packed(out, k, len(out) // k)
-
-
 def _read_jsonl_blocks(
     path: str, expect_m: int, expect_k: int, expect_family: str, expect_alpha: int | None
 ) -> _Packed:
     """Re-ingest exported blocks; the engine accepts any well-formed design
     whose records name the expected field, block size, family and shift.
 
-    export's own text is read in bulk (see `_read_export`). Any other
-    file, or one that cannot be read, is read line by line from the
-    start, and only that reader refuses a file. Both pack as they read.
+    The file is read once, in ~64 KiB batches of lines, and packed as it
+    is read. A batch whose text is exactly what export writes for these
+    fields is matched whole by one regular expression, then its points
+    are read by one json.loads. Any other batch is checked line by line.
     """
-    try:
-        packed = _read_export(path, expect_m, expect_k, expect_family, expect_alpha)
-    except (UnicodeDecodeError, OSError):
-        packed = None
-    if packed is not None:
-        return packed
-    out, count = bytearray(), 0
+    head = _record_head(expect_m, expect_k, expect_family, expect_alpha)
+    records = None
+    if 1 <= expect_k < 1 << 32:  # a repeat count that re compiles
+        point = "(?:0|[1-9][0-9]*)"
+        records = re.compile(rf"(?:{re.escape(head)}\[{point}(?:, {point}){{{expect_k - 1}}}\]\}}\n)*")
+    out, n, count = bytearray(), 0, 0
     try:
         with open(path, encoding="utf-8") as fh:
-            for n, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+            while lines := fh.readlines(1 << 16):
+                batch = "".join(lines)
+                if records and records.fullmatch(batch):
+                    batch = batch.replace(head + "[", "").replace("]}\n", ", ")
+                    out = _pack(out, json.loads(f"[{batch[:-2]}]"))
+                    n += len(lines)
+                    count += len(lines)
                     continue
-                try:
-                    obj = json.loads(line)
-                    block = tuple(obj["block"])
-                    if set(map(type, block)) - {int}:  # a float, string or bool
-                        raise TypeError
-                except (ValueError, KeyError, TypeError):
-                    raise ArgumentError(f"{path}:{n}: not a block record") from None
-                if _differs(obj.get("m"), expect_m):
-                    raise ArgumentError(
-                        f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})"
-                    )
-                if _differs(obj.get("k"), expect_k):
-                    raise ArgumentError(
-                        f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
-                    )
-                if len(block) != expect_k:
-                    raise ArgumentError(f"{path}:{n}: block of {len(block)} points, expected {expect_k}")
-                if obj.get("family") != expect_family:
-                    raise ArgumentError(
-                        f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
-                    )
-                if _differs(obj.get("alpha"), expect_alpha):
-                    raise ArgumentError(
-                        f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
-                    )
-                out = _pack(out, block)
-                count += 1
+                for line in lines:
+                    n += 1
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                        block = tuple(obj["block"])
+                        if set(map(type, block)) - {int}:  # a float, string or bool
+                            raise TypeError
+                    except (ValueError, KeyError, TypeError):
+                        raise ArgumentError(f"{path}:{n}: not a block record") from None
+                    if _differs(obj.get("m"), expect_m):
+                        raise ArgumentError(
+                            f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})"
+                        )
+                    if _differs(obj.get("k"), expect_k):
+                        raise ArgumentError(
+                            f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
+                        )
+                    if len(block) != expect_k:
+                        raise ArgumentError(f"{path}:{n}: block of {len(block)} points, expected {expect_k}")
+                    if obj.get("family") != expect_family:
+                        raise ArgumentError(
+                            f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
+                        )
+                    if _differs(obj.get("alpha"), expect_alpha):
+                        raise ArgumentError(
+                            f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
+                        )
+                    out = _pack(out, block)
+                    count += 1
     except UnicodeDecodeError:
         raise ArgumentError(f"{path}: not UTF-8 text") from None
     return _Packed(out, expect_k, count)
@@ -305,6 +290,7 @@ def _report_json(report: designs.DesignReport) -> str:
 
 def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
     """The report on the zero-sum design of GF(2^m), enumerated or read."""
+    check_exponent(m)
     if blocks_path:
         block_list = _read_jsonl_blocks(blocks_path, m, k, "W", None)
     else:
@@ -316,6 +302,8 @@ def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, group
     """The report on the design lifted to GF(2^(m+1)) for alpha: its groups,
     then its blocks, each derived or read."""
     ambient = m + 1
+    check_exponent(ambient, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
+    check_shift(alpha, ambient)
     points = [x for x in range(1, 1 << ambient) if x != alpha]
     if groups_path:
         group_list = _read_jsonl_blocks(groups_path, ambient, 2, "U", alpha)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import decimal
 import hashlib
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 
@@ -12,7 +15,7 @@ import pytest
 
 from design_forge import blocks, cli, errors, params
 from design_forge.errors import ConsistencyError
-from helpers import run_cli, run_python
+from helpers import SRC_DIR, run_cli, run_python
 
 
 class TestEnumerate:
@@ -676,6 +679,38 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: budget must be positive, got {command[-1]}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify-bibd", "--m", "-1", "--k", "3", "--blocks", os.devnull],
+             "field exponent must be an int in 3..16, got -1"),
+            (["verify-gdd", "--m", "-2", "--k", "3", "--alpha", "1", "--groups", os.devnull],
+             "field exponent must be an int in 4..17, got -1"),
+            (["verify-gdd", "--m", "30", "--k", "3", "--alpha", "1"],
+             "field exponent must be an int in 4..17, got 31"),
+            (["verify-bibd", "--m", "40", "--k", "3", "--blocks", os.devnull],
+             "field exponent must be an int in 3..16, got 40"),
+            (["verify-gdd", "--m", "3", "--k", "3", "--alpha", "0", "--blocks", os.devnull, "--groups", os.devnull],
+             "shift must be a nonzero element of GF(2^4), got 0"),
+        ],
+        ids=["bibd-negative", "gdd-negative", "gdd-30", "bibd-40", "gdd-alpha-0"],
+    )
+    def test_m_and_alpha_are_checked_before_any_point_is_listed(self, argv, message):
+        # --m and --alpha are checked on every path, also when nothing is
+        # enumerated. The child is capped at 1 GiB of address space: listing
+        # the 2^31 or more points of such a field fails for memory (exit 4)
+        # instead of filling the machine.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "design_forge.cli", *argv],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), preexec_fn=cap,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {message}\n".encode()
 
     def test_streamed_text_counts_what_was_written(self, capsys):
         text = cli._csv_text([["a", "bc"], ["d"]])

@@ -224,9 +224,31 @@ def test_ingest_of_edited_export_is_pinned(tmp_path, capsys, command, edit):
     assert ingest_outcome(tmp_path, capsys, command, edit) == tuple(expected)
 
 
+def _bad_byte_in_the_fault_batch(lines: list[str]) -> list[str]:
+    """A header fault on line 2 and a byte that is not UTF-8 ~20 KB later:
+    in the same 64 KiB batch, but in a later 8 KiB decode chunk."""
+    lines = _batched(lines)
+    lines[1] = _head_of(lines[1], m=99)
+    n, size = 0, 0
+    while size <= 20_000:
+        size += len(lines[n])
+        n += 1
+    lines[n] = lines[n][:-1] + " \udce9\n"
+    return lines
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_bad_byte_in_the_batch_of_a_header_fault_is_reported(tmp_path, capsys, monkeypatch, command):
+    # A batch is decoded whole before any of its lines is checked, so the
+    # byte refuses the file before the header fault on line 2 is seen.
+    monkeypatch.setitem(EDITS, "bad-byte-in-the-fault-batch", _bad_byte_in_the_fault_batch)
+    outcome = ingest_outcome(tmp_path, capsys, command, "bad-byte-in-the-fault-batch")
+    assert outcome == (2, "", "error: {path}: not UTF-8 text\n")
+
+
 def _per_line(path, *expect):
-    """The per-line reader's blocks: the file with a space added to every
-    line, which the bulk path does not read."""
+    """The blocks as read line by line: the file with a space added to
+    every line, so that no batch is export's text."""
     spaced = path.with_name("spaced-" + path.name)
     spaced.write_text(path.read_text().replace("\n", " \n"))
     return cli._read_jsonl_blocks(str(spaced), *expect)
@@ -251,6 +273,44 @@ def test_bulk_and_per_line_ingest_pack_the_same_points(tmp_path, export, expect,
         assert list(packed.points) == made and len(packed) * packed.k == len(made) > 0
 
 
+def _pack_sizes(monkeypatch) -> list[int]:
+    """The number of points of each call to `cli._pack` from now on: k
+    for a line read on its own, more for a batch read in bulk."""
+    sizes, pack = [], cli._pack
+
+    def counted(out, points):
+        sizes.append(len(points))
+        return pack(out, points)
+
+    monkeypatch.setattr(cli, "_pack", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "export,expect,kind",
+    [
+        (["--m", "4", "--k", "4"], (4, 4, "W", None), bytes),
+        (["--m", "8", "--k", "3", "--family", "U", "--alpha", "257"], (9, 3, "U", 257), array),
+    ],
+    ids=["W", "U-4-byte"],
+)
+def test_batches_read_line_by_line_then_in_bulk(tmp_path, monkeypatch, export, expect, kind):
+    # A first batch that is not export's text (its lines are spaced), then
+    # batches that are: each is read its own way into the one packing.
+    exported = tmp_path / "e.jsonl"
+    assert cli.main(["export", *export, "--out", str(exported)]) == 0
+    text = exported.read_text()
+    spaced = text.replace("\n", " \n")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(spaced * (70_000 // len(spaced) + 1) + text * (140_000 // len(text) + 1))
+    sizes = _pack_sizes(monkeypatch)
+    packed = cli._read_jsonl_blocks(str(mixed), *expect)
+    made = [p for line in mixed.read_text().splitlines() for p in json.loads(line)["block"]]
+    assert sizes[0] == expect[1] and sizes[-1] > expect[1]
+    assert type(packed.points) is kind and packed.k == expect[1]
+    assert list(packed.points) == made and len(packed) * packed.k == len(made)
+
+
 @pytest.mark.parametrize(
     "chunks,kind",
     [
@@ -270,7 +330,7 @@ def test_pack_widens_without_changing_earlier_points(chunks, kind):
     assert type(packed.points) is kind and list(packed.points) == sum(chunks, [])
 
 
-def test_valid_design_with_large_points_only_after_whole_batches(tmp_path):
+def test_valid_design_with_large_points_only_after_whole_batches(tmp_path, monkeypatch):
     # The export of m = 9, k = 3 reordered so that the 10,795 blocks
     # inside GF(2^8) come first: ~0.6 MB of batches whose every point fits
     # a byte, then the blocks holding a point past 255.
@@ -280,7 +340,9 @@ def test_valid_design_with_large_points_only_after_whole_batches(tmp_path):
     lines.sort(key=lambda line: max(json.loads(line)["block"]) > 255)
     assert sum(max(json.loads(line)["block"]) < 256 for line in lines) == 10_795
     exported.write_text("".join(lines))
-    packed = cli._read_export(str(exported), 9, 3, "W", None)  # the bulk path takes it
+    sizes = _pack_sizes(monkeypatch)
+    packed = cli._read_jsonl_blocks(str(exported), 9, 3, "W", None)
+    assert min(sizes) > 3  # every batch is read in bulk
     assert list(packed.points) == [p for line in lines for p in json.loads(line)["block"]]
     read = run_cli(["verify-bibd", "--m", "9", "--k", "3", "--blocks", str(exported)])
     live = run_cli(["verify-bibd", "--m", "9", "--k", "3"])
@@ -289,9 +351,9 @@ def test_valid_design_with_large_points_only_after_whole_batches(tmp_path):
 
 
 def test_export_piped_into_ingest_is_read_once(tmp_path):
-    # A pipe cannot be read a second time, so it goes straight to the
-    # per-line reader: a file that the bulk path would refuse only after
-    # its first batch still gives the report of the whole file.
+    # A pipe is read once, batch by batch, like a file: its first batch is
+    # export's text, read in bulk, and its last line, which is not, is read
+    # line by line; the report covers the whole file.
     exported = tmp_path / "w.jsonl"
     assert cli.main(["export", "--m", "5", "--k", "4", "--out", str(exported)]) == 0
     text = exported.read_text()
