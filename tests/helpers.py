@@ -22,6 +22,12 @@ def xor_sum(items) -> int:
     return reduce(lambda a, b: a ^ b, items, 0)
 
 
+def brute_xor_subsets(ground, k: int, target: int) -> list[tuple[int, ...]]:
+    """Every k-subset of `ground`, sorted ascending, whose XOR is `target`,
+    as tuples in lexicographic order."""
+    return [b for b in combinations(ground, k) if xor_sum(b) == target]
+
+
 def brute_zero_sum(m: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of the nonzero elements of GF(2^m) with XOR-sum 0."""
     return [b for b in combinations(range(1, 2**m), k) if xor_sum(b) == 0]

@@ -48,9 +48,11 @@ from helpers import (
     brute_shift_invariant,
     brute_sum_to_shift,
     brute_sum_to_zero,
+    brute_xor_subsets,
     brute_zero_sum,
     brute_zero_sum_containing,
     hamming_weight_count,
+    xor_sum,
 )
 
 
@@ -141,12 +143,19 @@ class TestSearchBudget:
             (sum_to_shift_blocks, (4, 6, 5), 14, 6),
             (sum_to_shift_blocks, (5, 3, 30), 30, 3),
             (sum_to_zero_blocks, (5, 4, 7), 30, 4),
+            (zero_sum_blocks_containing, (5, 3, 3, 9), 29, 1),
+            (zero_sum_blocks_containing, (5, 4, 3, 9), 29, 2),
+            (sum_to_shift_blocks, (5, 2, 30), 30, 2),
         ],
         ids=lambda v: getattr(v, "__name__", None),
     )
     def test_a_budget_of_exactly_the_count_suffices(self, build, args, n, k):
         nodes = _search_nodes(n, k)
         assert len(build(*args, budget=nodes)) > 0
+        if nodes == 1:  # one lookup; a budget of 0 is refused as an argument
+            with pytest.raises(ArgumentError):
+                build(*args, budget=0)
+            return
         with pytest.raises(BudgetExceededError) as exc:
             build(*args, budget=nodes - 1)
         assert exc.value.budget == nodes - 1
@@ -167,6 +176,67 @@ class TestSearchBudget:
         with pytest.raises(BudgetExceededError):
             zero_sum_blocks(16, 3)  # 4.29e9 nodes
         assert time.perf_counter() - start < 5
+
+
+def _search_grounds():
+    """Grounds of the search for m = 3..5: GF(2^m)* whole, less one point,
+    less a pair, and a random subset with gaps, each sorted."""
+    for m in (3, 4, 5):
+        full = tuple(range(1, 1 << m))
+        gaps = tuple(sorted(random.Random(m).sample(full, 2 * len(full) // 3)))
+        yield f"m{m}-whole", full
+        yield f"m{m}-less-alpha", tuple(x for x in full if x != 5)
+        yield f"m{m}-less-pair", tuple(x for x in full if x not in (3, 6))
+        yield f"m{m}-gaps", gaps
+
+
+SEARCH_GROUNDS = dict(_search_grounds())
+
+
+class TestXorSubsets:
+    """`_xor_subsets` against the brute-force oracle: the same list of
+    tuples, in the same order."""
+
+    @staticmethod
+    def _search(ground, k, target):
+        return blocks_module._xor_subsets(ground, k, target, blocks_module._Budget(10**9, "test"))
+
+    @pytest.mark.parametrize("target_kind", ["zero", "in-ground", "outside"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", SEARCH_GROUNDS)
+    def test_matches_brute_force(self, name, k, target_kind):
+        ground = SEARCH_GROUNDS[name]
+        target = {
+            "zero": 0,
+            "in-ground": ground[len(ground) // 2],
+            "outside": min(set(range(1, 2 * ground[-1] + 2)) - set(ground)),
+        }[target_kind]
+        got = self._search(ground, k, target)
+        assert got == brute_xor_subsets(ground, k, target)
+        assert all(type(b) is tuple for b in got)
+
+    @pytest.mark.parametrize("name", SEARCH_GROUNDS)
+    def test_the_whole_ground_is_one_block_or_none(self, name):
+        ground = SEARCH_GROUNDS[name]
+        whole = xor_sum(ground)
+        assert self._search(ground, len(ground), whole) == [ground]
+        assert self._search(ground, len(ground), whole ^ 1) == []
+        assert self._search(ground[:2], 2, ground[0] ^ ground[1]) == [ground[:2]]
+        assert self._search(ground[:1], 1, ground[0]) == [ground[:1]]
+
+    def test_one_point_heads_keep_no_table(self):
+        """The k = 3 search over 1,023 points peaks at ~12 MiB traced, and
+        at 48 MiB if each one-point head's pair table were kept."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = self._search(tuple(range(1, 1024)), 3, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 174_251
+        assert peak < 20 * 2**20
 
 
 class TestZeroSumBlocksContaining:
