@@ -12,16 +12,17 @@ A family is held packed: one bytes buffer of k fixed-width lanes per block
 (see `BlockFamily`). Its membership rule is checked on those lanes: a
 chunk of blocks becomes k column ints with one lane per block, and each
 fact of the rule is a few big-int operations over every lane at once (see
-`_Rule`). The lifted family is built in the same columns and sorted as
-runs merged by first point (see `gdd_blocks`). Everything here is pure
-and immutable.
+`_Rule`). The lifted family is built in the same columns, then sorted
+as runs merged by first point or, for the verifier, laid out in the
+order it is made (see `gdd_blocks`). Everything here is pure and
+immutable.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, repeat
@@ -324,9 +325,10 @@ class BlockFamily:
     The blocks are held as one immutable bytes buffer, `lanes`: the k
     points of every block in turn, each an unsigned big-endian lane of
     `lane_size` bytes (one while 2^m <= 128, else four), blocks in the
-    order given (the enumerators give them sorted). Since the lanes have
-    one width, that order is the order of each block's bytes, and
-    membership tests are binary searches on them. `points` decodes the
+    order given. Every enumerator gives them sorted, which with lanes of
+    one width is also the order of their bytes, except the lift laid out
+    for the verifier (`gdd_blocks(..., ordered=False)`), which is in the
+    order it is made. `points` decodes the
     lanes into ints, the one view the verifier reads, and iteration
     builds the block tuples from it at C speed.
 
@@ -410,7 +412,8 @@ class BlockFamily:
 
     def __contains__(self, block) -> bool:
         """Whether `block` is a member: False for anything that is not k
-        points that fit a lane, else a binary search on the packed keys."""
+        points that fit a lane, else whether its packed key starts at a
+        block of the lanes, found by `bytes.find` in any block order."""
         try:
             points = tuple(block)
         except TypeError:
@@ -419,8 +422,10 @@ class BlockFamily:
         if key is None:
             return False
         width, lanes = len(key), self.lanes
-        pos = bisect_left(range(self._n), key, key=lambda i: lanes[i * width : i * width + width])
-        return pos < self._n and lanes[pos * width : pos * width + width] == key
+        at = lanes.find(key)
+        while at > 0 and at % width:  # a hit across two blocks
+            at = lanes.find(key, at + 1)
+        return at >= 0 and self._n > 0  # b"" (k = 0) is found even with no block
 
 
 class _Budget:
@@ -578,7 +583,7 @@ def shift_invariant_blocks(
 
 
 def gdd_blocks(
-    ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET
+    ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET, ordered: bool = True
 ) -> BlockFamily:
     """Blocks of the lifted design in GF(2^ambient_exp).
 
@@ -598,13 +603,18 @@ def gdd_blocks(
 
     The lift runs on lanes, `_CHUNK` bases at a time: the sections of the
     bases' points become k column ints, each choice of shifts XORs alpha
-    into its columns (the last by parity), a sorting network sorts every
-    block's points across the columns (`_sort_lanes`), and the blocks are
-    packed. Each (chunk, choice) buffer is cut into its blocks' bytes keys
-    by one `struct.Struct` unpack, in C, and sorted into a run. The runs
-    are merged a first point at a time: the blocks that start with p form
-    a slice of each run, so the lift holds the runs, the merged lanes and
-    one such bucket's keys, not a key object per block.
+    into its columns (the last by parity), and a sorting network sorts
+    every block's points across the columns (`_sort_lanes`). If `ordered`
+    (the default; `enumerate` and `export` use it), each (chunk, choice)
+    is packed, cut into its blocks' bytes keys by one `struct.Struct`
+    unpack, in C, and sorted into a run. The runs are merged a first point
+    at a time: the blocks that start with p form a slice of each run, so
+    the lift holds the runs, the merged lanes and one such bucket's keys,
+    not a key object per block. Otherwise the blocks come as they are
+    made, base-major: base i's 2^(k-1) lifts in choice order, the bases
+    in lexicographic order. Each column is written straight into its
+    lanes, so no block has a key. The pair sweep reads blocks in any
+    order, so `verify-gdd` and `crosscheck --gdd` verify the lift as made.
     """
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
@@ -613,41 +623,51 @@ def gdd_blocks(
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
     bases = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)
     bud.spend(len(bases) << (k - 1))
-    size = _lane_size(ambient_exp)
+    size, choices = _lane_size(ambient_exp), 1 << (k - 1)
     lifted = _pack(map(section(alpha, ambient_exp).__getitem__, chain.from_iterable(bases)), size)
     del bases
     pairs, step, runs = _sorting_network(k), k * size, []
+    total = 0 if ordered else len(lifted) * choices  # bytes of the base-major lanes
+    laid = bytearray(total) if size == 1 else array("I", bytes(total))
     for start in range(0, len(lifted), _CHUNK * step):
         chunk = lifted[start : start + _CHUNK * step]
         n = len(chunk) // step
         *head, last = _columns(chunk, k, size)
         shift = _ones(n, 8 * size) * alpha
-        cut = Struct(f"{step}s" * n)  # n keys of a buffer, cut in C
-        for choice in range(1 << (k - 1)):
+        cut = Struct(f"{step}s" * n) if ordered else None  # n keys of a buffer, cut in C
+        for choice in range(choices):
             # Shift the points of the set bits of `choice`, and the last
             # point iff that leaves an even number shifted.
             cols = [c ^ shift if choice >> j & 1 else c for j, c in enumerate(head)]
             cols.append(last if choice.bit_count() & 1 else last ^ shift)
             _sort_lanes(cols, pairs, n, 8 * size)
-            runs.append(b"".join(sorted(cut.unpack(_interleave(cols, n, size)))))
+            if ordered:
+                runs.append(b"".join(sorted(cut.unpack(_interleave(cols, n, size)))))
+                continue
+            # Lane (i * choices + choice) * k + j holds point j of base i's lift `choice`.
+            for j, c in enumerate(cols, (start // step * choices + choice) * k):
+                c = c.to_bytes(n * size, "big")
+                laid[j : j + n * choices * k : choices * k] = c if size == 1 else array("I", c)
         del cut
-    # Merge the runs a first point at a time: each run's blocks that start
-    # with p are one slice, found by bisection on its first points.
-    firsts = [run[::step] if size == 1 else _unpack(run, size)[::k] for run in runs]
-    ends, lanes = [0] * len(runs), bytearray()
-    for p in range(1, 1 << ambient_exp):
-        parts = []
-        for r, run in enumerate(runs):
-            lo, hi = ends[r], bisect_right(firsts[r], p, ends[r])
-            if hi > lo:
-                parts.append(run[lo * step : hi * step])
-                ends[r] = hi
-        if len(parts) > 1:  # timsort merges the sorted slices
-            bucket = b"".join(parts)
-            parts = sorted(Struct(f"{step}s" * (len(bucket) // step)).unpack(bucket))
-        lanes += b"".join(parts)
-    del runs, firsts
-    return _enumerated(BlockFamily._from_lanes, "U", ambient_exp, k, bytes(lanes), alpha=alpha)
+    if ordered:
+        # Merge the runs a first point at a time: each run's blocks that
+        # start with p are one slice, found by bisection on its first points.
+        firsts = [run[::step] if size == 1 else _unpack(run, size)[::k] for run in runs]
+        ends, laid = [0] * len(runs), bytearray()
+        for p in range(1, 1 << ambient_exp):
+            parts = []
+            for r, run in enumerate(runs):
+                lo, hi = ends[r], bisect_right(firsts[r], p, ends[r])
+                if hi > lo:
+                    parts.append(run[lo * step : hi * step])
+                    ends[r] = hi
+            if len(parts) > 1:  # timsort merges the sorted slices
+                bucket = b"".join(parts)
+                parts = sorted(Struct(f"{step}s" * (len(bucket) // step)).unpack(bucket))
+            laid += b"".join(parts)
+        del runs, firsts
+    lanes, laid = bytes(laid), None  # the check runs with one copy of the lanes
+    return _enumerated(BlockFamily._from_lanes, "U", ambient_exp, k, lanes, alpha=alpha)
 
 
 def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:

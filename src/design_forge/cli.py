@@ -312,7 +312,7 @@ def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, group
     if blocks_path:
         block_list = _read_jsonl_blocks(blocks_path, ambient, k, "U", alpha)
     else:
-        block_list = blocks.gdd_blocks(ambient, k, alpha, budget)
+        block_list = blocks.gdd_blocks(ambient, k, alpha, budget, ordered=False)
     return designs.verify_gdd(points, group_list, block_list)
 
 

@@ -38,6 +38,7 @@ from design_forge.errors import (
 from design_forge.witness import (
     as_block,
     natural_ordering,
+    quotient,
     replace_point_map,
     representative,
     shift_representative,
@@ -309,6 +310,18 @@ class TestShiftedSumFamilies:
                 build(3, 3, 0)
 
 
+def _traced_peak(build) -> int:
+    """Bytes that `build()` allocates at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestGddBlocks:
     def test_known_count(self):
         assert len(gdd_blocks(4, 3, 1)) == 28
@@ -321,39 +334,61 @@ class TestGddBlocks:
     @pytest.mark.parametrize("alpha", range(1, 32))
     def test_ambient_32_every_alpha_matches_brute_force(self, alpha):
         for k in (3, 4):
-            assert list(gdd_blocks(5, k, alpha)) == brute_gdd_blocks(5, k, alpha)
+            expected = brute_gdd_blocks(5, k, alpha)
+            assert list(gdd_blocks(5, k, alpha)) == expected
+            assert sorted(gdd_blocks(5, k, alpha, ordered=False)) == expected
 
     @pytest.mark.parametrize("alpha", [1, 9, 30])
     def test_ambient_32_spot_matches_brute_force(self, alpha):
         for k in (4, 5):
-            assert list(gdd_blocks(5, k, alpha)) == brute_gdd_blocks(5, k, alpha)
+            expected = brute_gdd_blocks(5, k, alpha)
+            assert list(gdd_blocks(5, k, alpha)) == expected
+            assert sorted(gdd_blocks(5, k, alpha, ordered=False)) == expected
 
     @pytest.mark.parametrize("k, alpha", [(k, a) for k in (3, 4, 5) for a in (1, 6, 19, 31)])
     def test_many_sorted_runs_merge_exactly(self, monkeypatch, k, alpha):
         """Chunks of 1, 3 and 64 bases make a sorted run per chunk and
-        choice, so most first points have blocks in several runs."""
+        choice, so most first points have blocks in several runs; laid
+        out as made, they are the same blocks."""
         expected = brute_gdd_blocks(5, k, alpha)
         for chunk in (1, 3, 64):
             monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
             assert list(gdd_blocks(5, k, alpha)) == expected
+            assert sorted(gdd_blocks(5, k, alpha, ordered=False)) == expected
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_many_sorted_runs_merge_exactly_in_wide_lanes(self, monkeypatch, chunk):
-        expected = gdd_blocks(8, 3, 129).lanes
+        expected = gdd_blocks(8, 3, 129)
         monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
-        assert gdd_blocks(8, 3, 129).lanes == expected
+        assert gdd_blocks(8, 3, 129).lanes == expected.lanes
+        assert sorted(gdd_blocks(8, 3, 129, ordered=False)) == list(expected)
 
     def test_the_lift_holds_one_bucket_of_keys_at_a_time(self):
         """722,176 blocks: 4.1 MiB of lanes, ~42 MiB had every block a key."""
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            gdd_blocks(6, 6, 1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert _traced_peak(lambda: gdd_blocks(6, 6, 1)) < 20 * 2**20
+
+    def test_the_made_order_holds_no_key_per_block(self):
+        assert _traced_peak(lambda: gdd_blocks(6, 6, 1, ordered=False)) < 20 * 2**20
+
+    # An alpha with each top bit: the section inserts its zero bit there.
+    @pytest.mark.parametrize("ambient, k, alpha", [(6, k, a) for k in (4, 5) for a in (1, 2, 7, 12, 21, 47)] + [(6, 6, 33)])
+    def test_the_made_order_sorts_to_the_ordered_one(self, ambient, k, alpha):
+        assert sorted(gdd_blocks(ambient, k, alpha, ordered=False)) == list(gdd_blocks(ambient, k, alpha))
+
+    @pytest.mark.parametrize("chunk", [3, blocks_module._CHUNK])
+    @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 6), (6, 5, 47), (8, 3, 129)])
+    def test_the_made_order_is_base_major(self, monkeypatch, chunk, ambient, k, alpha):
+        """Each run of 2^(k - 1) blocks is the lift of one base: it meets
+        the same k cosets of {0, alpha}, and the bases ascend."""
+        monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
+        made, lifts = list(gdd_blocks(ambient, k, alpha, ordered=False)), 1 << (k - 1)
+        bases = []
+        for i in range(0, len(made), lifts):
+            run = made[i : i + lifts]
+            cosets = {tuple(sorted(quotient(x, alpha, ambient) for x in b)) for b in run}
+            assert len(cosets) == 1 and len(set(run)) == lifts
+            bases += cosets
+        assert bases == list(zero_sum_blocks(ambient - 1, k))
 
     def test_budget_exceeded_names_the_bound(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -575,6 +610,22 @@ class TestFamilyPlumbing:
         assert (1, 2, 3) in fam
         assert (1, 2, 4) not in fam
         assert [4, 8, 12] in fam
+
+    def test_membership_holds_in_any_block_order(self):
+        fam = BlockFamily("W", 3, 3, [(3, 5, 6), (1, 2, 3), (1, 4, 5)])
+        assert (1, 2, 3) in fam and (3, 5, 6) in fam and (1, 4, 5) in fam
+        # (5, 6, 1) and (6, 1, 2) are bytes of the lanes across two blocks.
+        for other in ((1, 2, 4), (5, 6, 1), (6, 1, 2), (2, 3, 1), (1, 6, 7)):
+            assert other not in fam
+        assert () in BlockFamily("W", 3, 0, [()]) and () not in BlockFamily("W", 3, 0, [])
+
+    @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 7), (8, 3, 129)], ids=["bytes", "wide"])
+    def test_membership_of_the_lift_as_made(self, ambient, k, alpha):
+        made = gdd_blocks(ambient, k, alpha, ordered=False)
+        members = set(gdd_blocks(ambient, k, alpha))
+        assert all(b in made for b in members)
+        ground = range(1, 2**ambient) if ambient < 8 else range(1, 24)
+        assert [b for b in combinations(ground, k) if b in made] == sorted(members & set(combinations(ground, k)))
 
     @pytest.mark.parametrize("fam", [zero_sum_blocks(4, 3), zero_sum_blocks(8, 3)], ids=["bytes", "wide"])
     def test_membership_of_what_is_not_k_points_is_false(self, fam):

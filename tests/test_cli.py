@@ -354,8 +354,8 @@ class TestCrosscheck:
     def test_unbalanced_lifted_design_exits_1(self, monkeypatch, capsys):
         real = blocks.gdd_blocks
 
-        def short(ambient, k, alpha, budget):
-            family = real(ambient, k, alpha, budget)
+        def short(ambient, k, alpha, budget, **layout):
+            family = real(ambient, k, alpha, budget, **layout)
             if alpha != 1:
                 return family
             return blocks.BlockFamily(family.kind, ambient, k, tuple(family)[1:], alpha=alpha)
@@ -799,6 +799,18 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == (
             "error: internal: ConsistencyError: enumerated block (1, 2, 4) violates the W predicate\n"
+        )
+
+    def test_the_verified_lift_is_still_checked_as_a_family(self, monkeypatch, capsys):
+        # verify-gdd takes the lift in the order it is made, with no sort of
+        # the blocks, and still checks every block against the U rule. At
+        # alpha 1 the section keeps point order, so unsorted points pass.
+        monkeypatch.setattr(blocks, "_sort_lanes", lambda *args: None)
+        assert cli.main(["verify-gdd", "--m", "3", "--k", "4", "--alpha", "9"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal: ConsistencyError: enumerated block (8, 2, 4, 7) is not strictly increasing\n"
         )
 
     def test_in_process_main_matches_subprocess_contract(self, capsys):

@@ -219,6 +219,31 @@ class TestVerifyGdd:
             verify_gdd([2, 3, 4, 5], [(2, 3), (4,)], [])
 
 
+class TestLiftOrder:
+    """verify-gdd verifies the lift in the order it is made; the report is
+    the one on the lexicographic family."""
+
+    @pytest.mark.parametrize(
+        "ambient, k, alpha",
+        [(4, k, a) for k in (3, 4) for a in range(1, 16)]
+        + [(5, k, a) for k in (3, 4, 5) for a in range(1, 32)]
+        + [(6, 4, a) for a in (1, 2, 7, 12, 21, 47)]
+        + [(6, 6, a) for a in (1, 21, 63)],
+    )
+    def test_the_report_does_not_depend_on_the_order(self, ambient, k, alpha):
+        points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
+        made = verify_gdd(points, groups, gdd_blocks(ambient, k, alpha, ordered=False))
+        assert made == verify_gdd(points, groups, gdd_blocks(ambient, k, alpha))
+        assert made.passed
+
+    @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 19), (6, 3, 37)])
+    def test_either_incidence_form_reads_the_made_order(self, incidence_form, ambient, k, alpha):
+        points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
+        made = tuple(gdd_blocks(ambient, k, alpha, ordered=False))
+        for blocks in (made, made[1:]):
+            assert verify_gdd(points, groups, blocks) == verify_gdd(points, groups, sorted(blocks))
+
+
 class TestIncidenceForms:
     """Bitset and block-index incidence must give identical verdicts."""
 
