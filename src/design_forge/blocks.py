@@ -14,7 +14,7 @@ chunk of blocks becomes k column ints with one lane per block, and each
 fact of the rule is a few big-int operations over every lane at once (see
 `_Rule`). The lifted family is built in the same columns, then sorted
 as runs merged by first point or, for the verifier, laid out in the
-order it is made (see `gdd_blocks`). Everything here is pure and
+order it is made (see `lift_blocks`). Everything here is pure and
 immutable.
 """
 
@@ -446,6 +446,11 @@ class _Budget:
             raise BudgetExceededError(self.what, self.limit)
 
 
+def _search_nodes(n: int, k: int) -> int:
+    """The charge of a search for k of n points (see `_xor_subsets`)."""
+    return comb(n, k - 1) - 1 + comb(n - 1, k - 1)
+
+
 def _xor_subsets(
     ground: tuple[int, ...],
     k: int,
@@ -467,14 +472,14 @@ def _xor_subsets(
     n points of GF(2^m), the work is at most min(C(n, k - 2), 2^m) tables
     of n steps, one step per head and one tuple per block.
 
-    The charge is still the node count of a depth-first search over heads
-    of k - 1 points: one per placed point, C(n, k - 1) - 1 in all (the
-    hockey-stick identity), and one per lookup of the forced last point,
-    C(n - 1, k - 1). It is made before the search, so a search over budget
-    fails before it allocates anything.
+    The charge (`_search_nodes`) is still the node count of a depth-first
+    search over heads of k - 1 points: one per placed point, C(n, k - 1) - 1
+    in all (the hockey-stick identity), and one per lookup of the forced
+    last point, C(n - 1, k - 1). It is made before the search, so a search
+    over budget fails before it allocates anything.
     """
     n = len(ground)
-    budget.spend(comb(n, k - 1) - 1 + comb(n - 1, k - 1))
+    budget.spend(_search_nodes(n, k))
     own = dict(zip(ground, ground))
     if k == 1:
         return [(target,)] if target in own else []
@@ -512,7 +517,7 @@ def zero_sum_blocks(m: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockF
     check_exponent(m)
     _check_k(k, 3, (1 << m) - 4, f"zero-sum family in GF(2^{m})")
     bud = _Budget(budget, f"zero-sum blocks (m={m}, k={k})")
-    return _enumerated(BlockFamily, "W", m, k, tuple(_xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)))
+    return _enumerated(BlockFamily, "W", m, k, _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud))
 
 
 def zero_sum_blocks_containing(
@@ -544,7 +549,7 @@ def sum_to_shift_blocks(
     _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
     bud = _Budget(budget, f"sum-to-shift blocks (m={m}, k={k}, alpha={alpha})")
     ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    return _enumerated(BlockFamily, "I", m, k, tuple(_xor_subsets(ground, k, alpha, bud)), alpha=alpha)
+    return _enumerated(BlockFamily, "I", m, k, _xor_subsets(ground, k, alpha, bud), alpha=alpha)
 
 
 def sum_to_zero_blocks(
@@ -556,7 +561,7 @@ def sum_to_zero_blocks(
     _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
     bud = _Budget(budget, f"sum-to-zero blocks (m={m}, k={k}, alpha={alpha})")
     ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    return _enumerated(BlockFamily, "J", m, k, tuple(_xor_subsets(ground, k, 0, bud)), alpha=alpha)
+    return _enumerated(BlockFamily, "J", m, k, _xor_subsets(ground, k, 0, bud), alpha=alpha)
 
 
 def shift_invariant_blocks(
@@ -591,20 +596,40 @@ def gdd_blocks(
     each coset {x, x + alpha} at most once (equivalently, the block and
     its shift by alpha are disjoint).
 
-    Built as a lift of the zero-sum family one exponent down. The quotient
-    map by {0, alpha} sends such a block onto a zero-sum k-block; an
-    additive section of that map (`field.section`) sends each zero-sum
-    block back to k points that XOR to 0, one per coset. Shifting an odd
-    number of them by alpha gives the 2^(k-1) blocks over it. Those are
-    every choice of one point per coset that XORs to alpha, so the output
-    does not depend on which section is used. The budget is charged one
-    node per node of the zero-sum search plus one per lifted block, each
-    part before the blocks it counts are built.
+    Built as the lift (`lift_blocks`) of the zero-sum family one exponent
+    down. The budget is charged one node per node of that family's search
+    plus one per lifted block, each part before the blocks it counts.
+    """
+    check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
+    check_shift(alpha, ambient_exp)
+    m = ambient_exp - 1
+    _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
+    bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
+    base = _enumerated(BlockFamily, "W", m, k, _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud))
+    return lift_blocks(base, alpha, bud, ordered)
+
+
+def lift_blocks(
+    base: BlockFamily, alpha: int, budget: int | _Budget = DEFAULT_NODE_BUDGET, ordered: bool = True
+) -> BlockFamily:
+    """The blocks of the lifted design in GF(2^(m+1)) over `base`, zero-sum
+    blocks of GF(2^m): all of them if `base` is the zero-sum family.
+
+    The quotient map by {0, alpha} sends a lifted block onto a zero-sum
+    k-block; an additive section of that map (`field.section`) sends each
+    zero-sum block back to k points that XOR to 0, one per coset. Shifting
+    an odd number of them by alpha gives the 2^(k-1) blocks over it. Those
+    are every choice of one point per coset that XORs to alpha, so the
+    output does not depend on which section is used. The budget is charged
+    one node per lifted block before any is built. It is the one that
+    `gdd_blocks` searched `base` against, or a limit: then a fresh budget,
+    named as in `gdd_blocks`, is first charged that search in closed form.
 
     The lift runs on lanes, `_CHUNK` bases at a time: the sections of the
-    bases' points become k column ints, each choice of shifts XORs alpha
-    into its columns (the last by parity), and a sorting network sorts
-    every block's points across the columns (`_sort_lanes`). If `ordered`
+    bases' lanes (one `bytes.translate` while both lanes are a byte)
+    become k column ints, each choice of shifts XORs alpha into its
+    columns (the last by parity), and a sorting network sorts every
+    block's points across the columns (`_sort_lanes`). If `ordered`
     (the default; `enumerate` and `export` use it), each (chunk, choice)
     is packed, cut into its blocks' bytes keys by one `struct.Struct`
     unpack, in C, and sorted into a run. The runs are merged a first point
@@ -612,20 +637,19 @@ def gdd_blocks(
     the lift holds the runs, the merged lanes and one such bucket's keys,
     not a key object per block. Otherwise the blocks come as they are
     made, base-major: base i's 2^(k-1) lifts in choice order, the bases
-    in lexicographic order. Each column is written straight into its
+    in the order of `base`. Each column is written straight into its
     lanes, so no block has a key. The pair sweep reads blocks in any
     order, so `verify-gdd` and `crosscheck --gdd` verify the lift as made.
     """
-    check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
-    check_shift(alpha, ambient_exp)
-    m = ambient_exp - 1
-    _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
-    bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
-    bases = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud)
-    bud.spend(len(bases) << (k - 1))
+    k, ambient_exp = base.k, base.m + 1
+    table = section(alpha, ambient_exp)
+    if not isinstance(budget, _Budget):
+        budget = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
+        budget.spend(_search_nodes((1 << base.m) - 1, k))
+    budget.spend(len(base) << (k - 1))
     size, choices = _lane_size(ambient_exp), 1 << (k - 1)
-    lifted = _pack(map(section(alpha, ambient_exp).__getitem__, chain.from_iterable(bases)), size)
-    del bases
+    lifted = (base.lanes.translate(bytes(table).ljust(256, b"\0")) if size == 1
+              else _pack(map(table.__getitem__, base.points), size))
     pairs, step, runs = _sorting_network(k), k * size, []
     total = 0 if ordered else len(lifted) * choices  # bytes of the base-major lanes
     laid = bytearray(total) if size == 1 else array("I", bytes(total))

@@ -289,18 +289,18 @@ def _report_json(report: designs.DesignReport) -> str:
 
 
 def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
-    """The report on the zero-sum design of GF(2^m), enumerated or read."""
+    """The zero-sum design of GF(2^m), enumerated or read, and its report."""
     check_exponent(m)
     if blocks_path:
         block_list = _read_jsonl_blocks(blocks_path, m, k, "W", None)
     else:
         block_list = blocks.zero_sum_blocks(m, k, budget)
-    return designs.verify_bibd(range(1, 1 << m), block_list)
+    return block_list, designs.verify_bibd(range(1, 1 << m), block_list)
 
 
-def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, groups_path=None):
+def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, groups_path=None, base=None):
     """The report on the design lifted to GF(2^(m+1)) for alpha: its groups,
-    then its blocks, each derived or read."""
+    then its blocks, each derived (lifted from `base` if given) or read."""
     ambient = m + 1
     check_exponent(ambient, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient)
@@ -311,14 +311,16 @@ def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, group
         group_list = blocks.gdd_groups(ambient, alpha)
     if blocks_path:
         block_list = _read_jsonl_blocks(blocks_path, ambient, k, "U", alpha)
-    else:
+    elif base is None:
         block_list = blocks.gdd_blocks(ambient, k, alpha, budget, ordered=False)
+    else:
+        block_list = blocks.lift_blocks(base, alpha, budget, ordered=False)
     return designs.verify_gdd(points, group_list, block_list)
 
 
 def cmd_verify_bibd(args) -> int:
     k = _single(args.k, "--k")
-    report = _bibd_report(args.m_single, k, args.budget, args.blocks_path)
+    _, report = _bibd_report(args.m_single, k, args.budget, args.blocks_path)
     _write_output(_report_json(report), args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
@@ -431,7 +433,7 @@ def cmd_crosscheck(args) -> int:
         lo, hi = max(k_lo, 3), min(k_hi, (1 << m) - 4)
         rows = islice(params.parameter_rows(m), lo - 2, hi - 1)
         for k in range(lo, hi + 1):
-            report = _bibd_report(m, k, args.budget)
+            base, report = _bibd_report(m, k, args.budget)
             # Row k is made only once k's search has fit its budget, and the
             # rows past --k never are: row k takes O(k) steps of the recurrences.
             _, b_k, r_k, lam_k, lp_k = next(rows)
@@ -441,7 +443,7 @@ def cmd_crosscheck(args) -> int:
                 b, r, lam = report.b, "unbalanced", "unbalanced"
             record(m, k, "bibd", b, b_k, lam, lam_k, ("replication", r, r_k))
             if args.gdd:
-                reports = [_gdd_report(m, k, a, args.budget) for a in range(1, 2 << m)]
+                reports = [_gdd_report(m, k, a, args.budget, base=base) for a in range(1, 2 << m)]
                 observed = {x.cross_group_lambda if x.passed else "unbalanced" for x in reports}
                 # The recurrence implies a block count: every one of the
                 # cross-group pairs is covered lambda' times, each block

@@ -166,6 +166,12 @@ class TestSearchBudget:
         assert len(gdd_blocks(5, 4, 9, budget=nodes)) == 840
         with pytest.raises(BudgetExceededError):
             gdd_blocks(5, 4, 9, budget=nodes - 1)
+        # A lift of a family searched elsewhere is charged that search too.
+        base = zero_sum_blocks(4, 4)
+        assert blocks_module.lift_blocks(base, 9, nodes).lanes == gdd_blocks(5, 4, 9).lanes
+        with pytest.raises(BudgetExceededError) as exc:
+            blocks_module.lift_blocks(base, 9, nodes - 1)
+        assert str(exc.value) == f"lifted blocks (exp=5, k=4, alpha=9): exceeded the enumeration budget of {nodes - 1} nodes"
 
     def test_shift_invariant_family_charges_one_node_per_point(self):
         assert len(shift_invariant_blocks(5, 6, 3, budget=comb(15, 3) * 6)) == 455

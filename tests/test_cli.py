@@ -352,15 +352,15 @@ class TestCrosscheck:
         ]
 
     def test_unbalanced_lifted_design_exits_1(self, monkeypatch, capsys):
-        real = blocks.gdd_blocks
+        real = blocks.lift_blocks
 
-        def short(ambient, k, alpha, budget, **layout):
-            family = real(ambient, k, alpha, budget, **layout)
+        def short(base, alpha, budget, **layout):
+            family = real(base, alpha, budget, **layout)
             if alpha != 1:
                 return family
-            return blocks.BlockFamily(family.kind, ambient, k, tuple(family)[1:], alpha=alpha)
+            return blocks.BlockFamily(family.kind, family.m, family.k, tuple(family)[1:], alpha=alpha)
 
-        monkeypatch.setattr(blocks, "gdd_blocks", short)
+        monkeypatch.setattr(blocks, "lift_blocks", short)
         assert cli.main(["crosscheck", "--m", "3", "--k", "3", "--gdd"]) == 1
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == [
@@ -397,6 +397,18 @@ class TestCrosscheck:
             "3,3,gdd,blocks,420,840",
             "3,3,gdd,lambda,1,2",
         ]
+
+    def test_one_zero_sum_search_per_cell(self, monkeypatch, capsys):
+        # Every alpha of a cell lifts the family its bibd row searched.
+        real, calls = blocks._xor_subsets, []
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(blocks, "_xor_subsets", counted)
+        assert cli.main(["crosscheck", "--m", "3..4", "--k", "3..4", "--gdd"]) == 0
+        assert calls == [3, 4, 3, 4]
 
     def test_byte_identical_reruns(self):
         first = run_cli(["crosscheck", "--m", "3", "--k", "3..4"])
@@ -745,6 +757,24 @@ class TestUsage:
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,first_over",
+        [
+            (["verify-gdd", "--m", "3", "--k", "3", "--alpha", "1"], "lifted blocks (exp=4, k=3, alpha=1)"),
+            (["crosscheck", "--m", "3", "--k", "3", "--gdd"], "zero-sum blocks (m=3, k=3)"),
+        ],
+        ids=["verify-gdd", "crosscheck"],
+    )
+    def test_a_lift_is_charged_its_search_and_its_blocks(self, argv, first_over, capsys):
+        # W(3, 3) takes 35 search nodes and lifts to 28 blocks for alpha 1:
+        # each lift is charged 63, on its own budget, whether it searched
+        # W itself (verify-gdd) or took crosscheck's.
+        assert cli.main([*argv, "--budget", "63"]) == 0
+        capsys.readouterr()
+        for budget, over in ((62, "lifted blocks (exp=4, k=3, alpha=1)"), (30, first_over)):
+            assert cli.main([*argv, "--budget", str(budget)]) == 3
+            assert capsys.readouterr() == ("", f"error: {over}: exceeded the enumeration budget of {budget} nodes\n")
 
     @pytest.mark.parametrize("span", ["1..2", "50..60"])
     def test_crosscheck_rejects_a_k_span_with_no_cell(self, span):
