@@ -11,8 +11,7 @@ Two constructions and the machinery to check them:
 Enumeration (`blocks`), verification by exhaustive pair sweep (`designs`),
 and exact integer recurrences for every parameter (`params`) are kept
 independent so each can cross-examine the others; `cli` ties them into a
-command-line tool with a one-shot crosscheck. The maps that witness the
-counting proofs live in `design_forge.witness`, which is not imported here.
+command-line tool with a one-shot crosscheck.
 """
 
 from .blocks import (
@@ -45,7 +44,6 @@ from .errors import (
 from .field import cosets_of, nonzero_elements
 from .params import (
     closed_form_balance,
-    closed_form_gdd_balance,
     hamming_weight_counts,
     parameter_rows,
     reference_gdd_balance,
@@ -71,7 +69,6 @@ __all__ = [
     "ShapeError",
     "StateError",
     "closed_form_balance",
-    "closed_form_gdd_balance",
     "cosets_of",
     "family_predicate",
     "gdd_blocks",

@@ -606,11 +606,11 @@ def gdd_blocks(
     _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
     base = _enumerated(BlockFamily, "W", m, k, _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud))
-    return lift_blocks(base, alpha, bud, ordered)
+    return lift_blocks(base, alpha, budget, ordered)
 
 
 def lift_blocks(
-    base: BlockFamily, alpha: int, budget: int | _Budget = DEFAULT_NODE_BUDGET, ordered: bool = True
+    base: BlockFamily, alpha: int, budget: int = DEFAULT_NODE_BUDGET, ordered: bool = True
 ) -> BlockFamily:
     """The blocks of the lifted design in GF(2^(m+1)) over `base`, zero-sum
     blocks of GF(2^m): all of them if `base` is the zero-sum family.
@@ -620,10 +620,9 @@ def lift_blocks(
     zero-sum block back to k points that XOR to 0, one per coset. Shifting
     an odd number of them by alpha gives the 2^(k-1) blocks over it. Those
     are every choice of one point per coset that XORs to alpha, so the
-    output does not depend on which section is used. The budget is charged
-    one node per lifted block before any is built. It is the one that
-    `gdd_blocks` searched `base` against, or a limit: then a fresh budget,
-    named as in `gdd_blocks`, is first charged that search in closed form.
+    output does not depend on which section is used. A fresh budget, named
+    as in `gdd_blocks`, is charged the search for `base` in closed form
+    plus one node per lifted block, before any is built.
 
     The lift runs on lanes, `_CHUNK` bases at a time: the sections of the
     bases' lanes (one `bytes.translate` while both lanes are a byte)
@@ -643,10 +642,8 @@ def lift_blocks(
     """
     k, ambient_exp = base.k, base.m + 1
     table = section(alpha, ambient_exp)
-    if not isinstance(budget, _Budget):
-        budget = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
-        budget.spend(_search_nodes((1 << base.m) - 1, k))
-    budget.spend(len(base) << (k - 1))
+    bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
+    bud.spend(_search_nodes((1 << base.m) - 1, k) + (len(base) << (k - 1)))
     size, choices = _lane_size(ambient_exp), 1 << (k - 1)
     lifted = (base.lanes.translate(bytes(table).ljust(256, b"\0")) if size == 1
               else _pack(map(table.__getitem__, base.points), size))

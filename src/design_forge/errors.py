@@ -39,27 +39,8 @@ class BudgetExceededError(DesignForgeError, RuntimeError):
         self.budget = budget
 
 
-class NoRepresentativeError(DesignForgeError):
-    """Every element of the block has its shifted partner in the block too,
-    so no representative exists."""
-
-
 class FamilyError(InputError):
     """A block does not satisfy the defining predicate of its family."""
-
-
-class MapViolationError(DesignForgeError):
-    """A block map produced an image outside its declared codomain.
-
-    Carries the offending input block, the computed image, and a reason,
-    so callers can fall back to counting arguments instead of crashing.
-    """
-
-    def __init__(self, block, image, reason: str):
-        super().__init__(f"map violation on {block}: {reason} (image {image})")
-        self.block = block
-        self.image = image
-        self.reason = reason
 
 
 class ShapeError(InputError):

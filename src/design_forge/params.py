@@ -53,17 +53,13 @@ def hamming_weight_counts(m: int, k_max: int) -> list[int]:
     return [1, 0, *(b for _, b, _, _, _ in rows), 0, 1][: k_max + 1]
 
 
-def _check_closed_form_range(m: int, k: int) -> None:
+def closed_form_balance(m: int, k: int) -> int:
+    """Closed-form lambda_k for k = 3..7 (rows k >= 5 need m >= 4)."""
     check_exponent(m)
     if k not in (3, 4, 5, 6, 7):
         raise RangeError(f"closed forms cover k = 3..7 only, got {k}")
     if k >= 5 and m < 4:
         raise RangeError(f"closed forms for k >= 5 need m >= 4, got m={m}")
-
-
-def closed_form_balance(m: int, k: int) -> int:
-    """Closed-form lambda_k for k = 3..7 (rows k >= 5 need m >= 4)."""
-    _check_closed_form_range(m, k)
     q = 1 << m
     if k == 3:
         return 1
@@ -75,23 +71,6 @@ def closed_form_balance(m: int, k: int) -> int:
         return _exact_div((q - 4) * (q - 6) * (q - 8), 24, "closed form k=6")
     return _exact_div(
         (q - 4) * (q - 6) * (q * q - 15 * q + 71), 120, "closed form k=7"
-    )
-
-
-def closed_form_gdd_balance(m: int, k: int) -> int:
-    """Closed-form lambda'_k for k = 3..7, in terms of the ambient size 2^(m+1)."""
-    _check_closed_form_range(m, k)
-    q = 1 << (m + 1)
-    if k == 3:
-        return 1
-    if k == 4:
-        return _exact_div(q - 8, 2, "lifted closed form k=4")
-    if k == 5:
-        return _exact_div((q - 8) * (q - 16), 6, "lifted closed form k=5")
-    if k == 6:
-        return _exact_div((q - 8) * (q - 12) * (q - 16), 24, "lifted closed form k=6")
-    return _exact_div(
-        (q - 8) * (q - 12) * (q * q - 30 * q + 284), 120, "lifted closed form k=7"
     )
 
 

@@ -91,6 +91,22 @@ def hamming_weight_count(m: int, k: int) -> int:
     return count
 
 
+def closed_form_gdd_balance(m: int, k: int) -> int:
+    """Closed-form lambda'_k of the lifted design for k = 3..7, in terms of
+    the ambient size q = 2^(m+1). Rows k >= 5 hold for m >= 4."""
+    q = 2 ** (m + 1)
+    num, den = {
+        3: (1, 1),
+        4: (q - 8, 2),
+        5: ((q - 8) * (q - 16), 6),
+        6: ((q - 8) * (q - 12) * (q - 16), 24),
+        7: ((q - 8) * (q - 12) * (q * q - 30 * q + 284), 120),
+    }[k]
+    value, rem = divmod(num, den)
+    assert rem == 0, (m, k)
+    return value
+
+
 def pair_coverage(points, blocks) -> dict[tuple[int, int], int]:
     """Coverage count for every unordered pair of points."""
     cov = {pr: 0 for pr in combinations(sorted(points), 2)}

@@ -19,12 +19,9 @@ from design_forge.blocks import (
     zero_sum_blocks_containing,
 )
 from design_forge.designs import observed_params, verify_bibd, verify_gdd
-from design_forge.errors import MapViolationError
-from design_forge.witness import natural_ordering, replace_point_map
 from design_forge.params import (
     balance_parameters,
     closed_form_balance,
-    closed_form_gdd_balance,
     gdd_balance_parameters,
     hamming_weight_counts,
     replication_numbers,
@@ -33,8 +30,10 @@ from helpers import (
     brute_shift_invariant,
     brute_sum_to_shift,
     brute_sum_to_zero,
+    closed_form_gdd_balance,
     run_cli,
 )
+from witness import MapViolationError, natural_ordering, replace_point_map
 
 # (ambient exponent, block size, expected cross-group coverage)
 GDD_CASES = [(4, 3, 1), (4, 4, 4), (5, 4, 12), (5, 5, 64), (6, 4, 28)]

@@ -1,5 +1,5 @@
 """Enumerators against brute-force oracles, plus the representative maps of
-`design_forge.witness`."""
+the proof witnesses (`witness`)."""
 
 from __future__ import annotations
 
@@ -31,17 +31,7 @@ from design_forge.errors import (
     ConsistencyError,
     FamilyError,
     InvalidShiftError,
-    MapViolationError,
-    NoRepresentativeError,
     RangeError,
-)
-from design_forge.witness import (
-    as_block,
-    natural_ordering,
-    quotient,
-    replace_point_map,
-    representative,
-    shift_representative,
 )
 from helpers import (
     brute_gdd_blocks,
@@ -54,6 +44,16 @@ from helpers import (
     brute_zero_sum_containing,
     hamming_weight_count,
     xor_sum,
+)
+from witness import (
+    MapViolationError,
+    NoRepresentativeError,
+    as_block,
+    natural_ordering,
+    quotient,
+    replace_point_map,
+    representative,
+    shift_representative,
 )
 
 

@@ -1,5 +1,6 @@
 """Module boundaries read from the source: the runtime imports only the
-standard library, and the test oracles import nothing from the package."""
+standard library, every module is reached from the package or the CLI, and
+the test oracles import nothing from the package."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "design_forge").glob("*.py"))
+PACKAGE = ROOT / "src" / "design_forge"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -77,7 +79,19 @@ def test_the_three_routes_import_nothing_from_one_another(route):
 def test_route_imports_are_seen():
     # The reader above does see a route importing another.
     assert _package_imports(ROOT / "src" / "design_forge" / "cli.py") >= set(ROUTES)
-    assert "blocks" in _package_imports(ROOT / "src" / "design_forge" / "witness.py")
+    assert "blocks" in _package_imports(ROOT / "tests" / "witness.py")
+
+
+def test_every_module_is_reached_from_the_package_or_the_commands():
+    # A module that neither `import design_forge` nor the CLI reaches is
+    # code that no route uses; it belongs with the tests, not in the package.
+    stems, reached, todo = {p.stem for p in SOURCES}, set(), ["__init__", "cli"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_package_imports(PACKAGE / f"{name}.py") & stems)
+    assert stems - reached == set()
 
 
 def _attribute_reads(path: Path) -> set[str]:

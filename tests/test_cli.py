@@ -15,7 +15,7 @@ import pytest
 
 from design_forge import blocks, cli, errors, params
 from design_forge.errors import ConsistencyError
-from helpers import SRC_DIR, run_cli, run_python
+from helpers import SRC_DIR, run_cli
 
 
 class TestEnumerate:
@@ -848,12 +848,3 @@ class TestUsage:
         assert cli.main(["enumerate", "--m", "4", "--k", "99"]) == 2
         assert cli.main(["enumerate", "--m", "4", "--k", "5", "--budget", "10"]) == 3
         capsys.readouterr()
-
-
-class TestModuleBoundary:
-    def test_commands_do_not_import_the_witnesses(self):
-        proc = run_python(
-            ["-c", "import design_forge.cli, sys; print('design_forge.witness' in sys.modules)"]
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == b"False\n"

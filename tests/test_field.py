@@ -1,5 +1,5 @@
 """Additive structure: cosets, the section, and the orderings and quotient
-map of `design_forge.witness`."""
+map of the proof witnesses (`witness`)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import pytest
 
 from design_forge.errors import ArgumentError, InvalidShiftError, RangeError
 from design_forge.field import cosets_of, section
-from design_forge.witness import coset_of, natural_ordering, quotient
 from helpers import xor_sum
+from witness import coset_of, natural_ordering, quotient
 
 
 class TestCosets:

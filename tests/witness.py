@@ -1,9 +1,10 @@
-"""Witnesses of the paper's counting proofs, outside the production routes.
+"""Witnesses of the paper's counting proofs, kept with the tests.
 
 The bijections between block families (point replacement through a coset
 representative, and a shift of that representative), the coset orderings
 and quotient map they use, and the single-formula balance step. The tests
-check them against enumeration; no command imports this module.
+check them against enumeration; no command uses them, so the package does
+not ship them.
 """
 
 from __future__ import annotations
@@ -11,26 +12,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .blocks import Block, family_predicate
-from .errors import (
-    ArgumentError,
-    FamilyError,
-    MapViolationError,
-    NoRepresentativeError,
-    RangeError,
-)
-from .field import (
+from design_forge.blocks import Block, family_predicate
+from design_forge.errors import ArgumentError, DesignForgeError, FamilyError, RangeError
+from design_forge.field import (
     MAX_AMBIENT_EXPONENT,
     MIN_EXPONENT,
     check_exponent,
     check_shift,
     cosets_of,
 )
-from .params import _exact_div
+from design_forge.params import _exact_div
 
 # cos(k * pi / 2) as an exact integer, looked up by k mod 4. This is the
 # only place the "single formula" forms need a sign; no floating point.
 _COS_QUARTER = {0: 1, 1: 0, 2: -1, 3: 0}
+
+
+class NoRepresentativeError(DesignForgeError):
+    """Every element of the block has its shifted partner in the block too,
+    so no representative exists."""
+
+
+class MapViolationError(DesignForgeError):
+    """A block map produced an image outside its declared codomain.
+
+    Carries the offending input block, the computed image, and a reason,
+    so callers can fall back to counting arguments instead of crashing.
+    """
+
+    def __init__(self, block, image, reason: str):
+        super().__init__(f"map violation on {block}: {reason} (image {image})")
+        self.block = block
+        self.image = image
+        self.reason = reason
 
 
 def as_block(elements) -> Block:
