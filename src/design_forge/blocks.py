@@ -4,18 +4,19 @@ A block is a strictly increasing tuple of field elements (ints). Families
 are enumerated exhaustively: every head of k - 2 ground points in
 lexicographic order, completed by the pairs of ground points above it
 that XOR to what the head leaves of the target sum, read from a table of
-the pairs with that sum (see `_xor_subsets`). Every enumerator charges its
-search nodes against an explicit budget, in closed form before it
-searches, and raises BudgetExceededError rather than truncating silently.
+the pairs with that sum and written straight into the family's lanes
+(see `_xor_subsets`). Every enumerator charges its search nodes against
+an explicit budget, in closed form before it searches, and raises
+BudgetExceededError rather than truncating silently.
 
 A family is held packed: one bytes buffer of k fixed-width lanes per block
-(see `BlockFamily`). Its membership rule is checked on those lanes: a
-chunk of blocks becomes k column ints with one lane per block, and each
-fact of the rule is a few big-int operations over every lane at once (see
-`_Rule`). The lifted family is built in the same columns, then sorted
-as runs merged by first point or, for the verifier, laid out in the
-order it is made (see `lift_blocks`). Everything here is pure and
-immutable.
+(see `BlockFamily`), read by the verifier one column at a time. Its
+membership rule is checked on those lanes: a chunk of blocks becomes k
+column ints with one lane per block, and each fact of the rule is a few
+big-int operations over every lane at once (see `_Rule`). The lifted
+family is built in the same columns, then sorted as runs merged by first
+point or, for the verifier, laid out in the order it is made (see
+`lift_blocks`). Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import and_, ge, or_, xor
+from operator import and_, ge, lt, or_, xor
 from struct import Struct
 from typing import Callable, Iterator
 
@@ -98,21 +99,21 @@ def _unpack(lanes: bytes, size: int):
     return points
 
 
-def _columns(lanes: bytes, k: int, size: int) -> list[int]:
+def _columns(lanes, k: int, size: int) -> list[int]:
     """Column j of the packed blocks as an int: point j of block i in lane
-    i from the top. The lanes are read big-endian as stored, through a raw
-    array("I") of their bytes for 4-byte lanes, so no bytes are swapped."""
-    seq = lanes if size == 1 else array("I", lanes)
+    i from the top. The lanes (bytes, or a view) are read big-endian as
+    stored, through a raw 32-bit view for 4-byte lanes: no bytes swapped."""
+    seq = bytes(lanes) if size == 1 else memoryview(lanes).cast("I")
     return [int.from_bytes(seq[j::k], "big") for j in range(k)]
 
 
-def _interleave(cols: list[int], n: int, size: int) -> bytes:
+def _interleave(cols: list, n: int, size: int) -> bytes:
     """The inverse of `_columns`: n blocks packed from their k columns,
-    each column written big-endian into every k-th lane."""
+    each an int or its n big-endian lanes, written into every k-th lane."""
     k = len(cols)
     out = bytearray(n * k) if size == 1 else array("I", bytes(n * k * size))
     for j, c in enumerate(cols):
-        col = c.to_bytes(n * size, "big")
+        col = c if isinstance(c, bytes) else c.to_bytes(n * size, "big")
         out[j::k] = col if size == 1 else array("I", col)
     return bytes(out)
 
@@ -328,9 +329,9 @@ class BlockFamily:
     order given. Every enumerator gives them sorted, which with lanes of
     one width is also the order of their bytes, except the lift laid out
     for the verifier (`gdd_blocks(..., ordered=False)`), which is in the
-    order it is made. `points` decodes the
-    lanes into ints, the one view the verifier reads, and iteration
-    builds the block tuples from it at C speed.
+    order it is made. `column(j)` decodes point j of every block into
+    ints, the view the verifier reads one column at a time, and iteration
+    zips the columns into block tuples at C speed.
 
     Construction re-checks every member against the family's rule, so a
     BlockFamily in hand is always internally consistent. The check reads
@@ -380,14 +381,14 @@ class BlockFamily:
     def __post_init__(self, rule: _Rule, given=None) -> None:
         """Re-validate: check the packed blocks chunk by chunk, and raise
         for the first bad one, shown as in `given`, else as unpacked."""
-        n, width = self._n, self.k * rule.size
+        n, width, lanes = self._n, self.k * rule.size, memoryview(self.lanes)
         for start in range(0, n, _CHUNK):
             stop = min(n, start + _CHUNK)
-            lanes = self.lanes[start * width : stop * width]
-            bad = rule.first_bad(_columns(lanes, self.k, rule.size), stop - start)
+            bad = rule.first_bad(_columns(lanes[start * width : stop * width], self.k, rule.size), stop - start)
             if bad is not None:
-                points = _unpack(lanes[bad * width : bad * width + width], rule.size)
-                raise _block_error(tuple(points) if given is None else given[start + bad], self.kind)
+                bad += start
+                points = _unpack(self.lanes[bad * width : bad * width + width], rule.size)
+                raise _block_error(tuple(points) if given is None else given[bad], self.kind)
 
     @property
     def lane_size(self) -> int:
@@ -403,12 +404,16 @@ class BlockFamily:
         a lane is one byte, else an array("I")."""
         return _unpack(self.lanes, self.lane_size)
 
+    def column(self, j: int):
+        """Point j of every block in turn, as `points` gives them."""
+        size = self.lane_size
+        lanes = self.lanes if size == 1 else memoryview(self.lanes).cast("I")
+        return _unpack(bytes(lanes[j :: self.k]), size)
+
     def __iter__(self) -> Iterator[Block]:
-        k = self.k
-        if not k:
+        if not self.k:
             return repeat((), self._n)
-        points = self.points
-        return zip(*(points[j::k] for j in range(k)))
+        return zip(*map(self.column, range(self.k)))
 
     def __contains__(self, block) -> bool:
         """Whether `block` is a member: False for anything that is not k
@@ -456,21 +461,25 @@ def _xor_subsets(
     k: int,
     target: int,
     budget: _Budget,
-) -> list[Block]:
-    """All strictly increasing k-tuples over `ground` whose XOR equals `target`.
+    size: int,
+) -> bytes:
+    """The lanes of `size` bytes (see `_pack`) of all strictly increasing
+    k-tuples over `ground` whose XOR equals `target`, in lexicographic order.
 
-    k must be at least 1, and `ground` sorted ascending, non-negative, with
-    no duplicates and at least k points. Output is in lexicographic order.
+    k must be at least 1, and `ground` sorted ascending, with no duplicates,
+    at least k points and every point fitting a lane.
 
     The search visits every head of k - 2 ground points in lexicographic
     order. A head whose XOR with the target is s is completed by exactly
     the pairs (h, h ^ s) of ground points with head[-1] < h < h ^ s: the
     slice, past the head's last point, of the table of pairs with sum s.
-    Tables hold the ground's own ints and are kept only for k > 3, since a
-    one-point head p is the only head with sum p ^ target (at k = 3 and
-    n = 1,023, keeping them took the traced peak from 12 to 48 MiB). Over
-    n points of GF(2^m), the work is at most min(C(n, k - 2), 2^m) tables
-    of n steps, one step per head and one tuple per block.
+    No block is ever a tuple. For k > 3 tables are kept with their pairs
+    packed, and a head's lanes join that slice in one `bytes.join`. A
+    one-point head p is the only head with sum p ^ target, so for k <= 3
+    no table is kept (at k = 3 and n = 1,023, keeping them took the traced
+    peak from 12 to 48 MiB) and the completions are written as columns.
+    Over n points of GF(2^m), the work is at most min(C(n, k - 2), 2^m)
+    tables of n steps, and one join per head.
 
     The charge (`_search_nodes`) is still the node count of a depth-first
     search over heads of k - 1 points: one per placed point, C(n, k - 1) - 1
@@ -482,21 +491,30 @@ def _xor_subsets(
     budget.spend(_search_nodes(n, k))
     own = dict(zip(ground, ground))
     if k == 1:
-        return [(target,)] if target in own else []
-    tables: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-    out: list[Block] = []
+        return _pack([target], size) if target in own else b""
+    lane = "B" if size == 1 else "I"
+    pack_head, pack_pair = Struct(f">{k - 2}{lane}").pack, Struct(f">2{lane}").pack
+    tables: dict[int, tuple[list[int], list[bytes]]] = {}
+    out = bytearray()
     for head in combinations(ground[:-2], k - 2):
         last = head[-1] if head else -1
         s = reduce(xor, head, target)
         if (table := tables.get(s)) is None:
-            floor = -1 if k > 3 else last  # a kept table serves every head
-            pairs = [(h, g) for h in ground if floor < h < (g := own.get(h ^ s, -1))]
-            table = [h for h, _ in pairs], pairs
-            if k > 3:
-                tables[s] = table
+            tail = ground[bisect_right(ground, -1 if k > 3 else last) :]  # a kept table serves every head
+            highs = list(map(own.get, map(s.__xor__, tail), repeat(-1)))
+            keep = list(map(lt, tail, highs))
+            lows, highs = list(compress(tail, keep)), list(compress(highs, keep))
+            if k <= 3:
+                cols = [_pack((x,), size) * len(lows) for x in head]
+                out += _interleave([*cols, _pack(lows, size), _pack(highs, size)], len(lows), size)
+                continue
+            table = tables[s] = lows, list(map(pack_pair, lows, highs))
         lows, pairs = table
-        out.extend(map(head.__add__, pairs[bisect_right(lows, last) :]))
-    return out
+        if pairs := pairs[bisect_right(lows, last) :]:
+            points = pack_head(*head)
+            out += points
+            out += points.join(pairs)
+    return bytes(out)
 
 
 def _enumerated(build, *args, **kwargs) -> BlockFamily:
@@ -517,7 +535,8 @@ def zero_sum_blocks(m: int, k: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockF
     check_exponent(m)
     _check_k(k, 3, (1 << m) - 4, f"zero-sum family in GF(2^{m})")
     bud = _Budget(budget, f"zero-sum blocks (m={m}, k={k})")
-    return _enumerated(BlockFamily, "W", m, k, _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud))
+    lanes = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud, _lane_size(m))
+    return _enumerated(BlockFamily._from_lanes, "W", m, k, lanes)
 
 
 def zero_sum_blocks_containing(
@@ -526,7 +545,8 @@ def zero_sum_blocks_containing(
     """The zero-sum k-subsets that contain both i and j.
 
     Enumerated directly: (k-2)-subsets of the remaining nonzero elements
-    with XOR-sum i ^ j, spliced back together with {i, j}.
+    with XOR-sum i ^ j, spliced back together with {i, j} as two more
+    columns, sorted into each block by `_sort_lanes`, in subset order.
     """
     check_exponent(m)
     _check_k(k, 3, (1 << m) - 4, f"zero-sum family in GF(2^{m})")
@@ -535,9 +555,13 @@ def zero_sum_blocks_containing(
         raise ArgumentError(f"need two distinct nonzero elements, got {i} and {j}")
     bud = _Budget(budget, f"zero-sum blocks through a pair (m={m}, k={k})")
     ground = tuple(x for x in nonzero_elements(m) if x != i and x != j)
-    rest = _xor_subsets(ground, k - 2, i ^ j, bud)
-    blocks = tuple(tuple(sorted((*r, i, j))) for r in rest)
-    return _enumerated(BlockFamily, "Wpair", m, k, blocks, pair=(i, j))
+    lane = _lane_size(m)
+    rest = _xor_subsets(ground, k - 2, i ^ j, bud, lane)
+    n = len(rest) // ((k - 2) * lane)
+    ones = _ones(n, 8 * lane)
+    cols = [*_columns(rest, k - 2, lane), ones * i, ones * j]
+    _sort_lanes(cols, _sorting_network(k), n, 8 * lane)
+    return _enumerated(BlockFamily._from_lanes, "Wpair", m, k, _interleave(cols, n, lane), pair=(i, j))
 
 
 def sum_to_shift_blocks(
@@ -549,7 +573,8 @@ def sum_to_shift_blocks(
     _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
     bud = _Budget(budget, f"sum-to-shift blocks (m={m}, k={k}, alpha={alpha})")
     ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    return _enumerated(BlockFamily, "I", m, k, _xor_subsets(ground, k, alpha, bud), alpha=alpha)
+    lanes = _xor_subsets(ground, k, alpha, bud, _lane_size(m))
+    return _enumerated(BlockFamily._from_lanes, "I", m, k, lanes, alpha=alpha)
 
 
 def sum_to_zero_blocks(
@@ -561,7 +586,8 @@ def sum_to_zero_blocks(
     _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
     bud = _Budget(budget, f"sum-to-zero blocks (m={m}, k={k}, alpha={alpha})")
     ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    return _enumerated(BlockFamily, "J", m, k, _xor_subsets(ground, k, 0, bud), alpha=alpha)
+    lanes = _xor_subsets(ground, k, 0, bud, _lane_size(m))
+    return _enumerated(BlockFamily._from_lanes, "J", m, k, lanes, alpha=alpha)
 
 
 def shift_invariant_blocks(
@@ -605,7 +631,8 @@ def gdd_blocks(
     m = ambient_exp - 1
     _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
-    base = _enumerated(BlockFamily, "W", m, k, _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud))
+    lanes = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud, _lane_size(m))
+    base = _enumerated(BlockFamily._from_lanes, "W", m, k, lanes)
     return lift_blocks(base, alpha, budget, ordered)
 
 

@@ -186,9 +186,9 @@ def _differs(got, expected) -> bool:
 
 class _Packed:
     """Ingested blocks or groups: `points` holds the k points of each of
-    the n items in turn, the one form the verifier reads: bytes, an
-    array("I") or a list, as `_pack` left them. (A plain class: a dataclass
-    would add ~1 ms to every start of the cli.)"""
+    the n items in turn: bytes, an array("I") or a list, as `_pack` left
+    them. The verifier reads them one column at a time, as a family's.
+    (A plain class: a dataclass would add ~1 ms to every start of the cli.)"""
 
     __slots__ = ("points", "k", "n")
 
@@ -198,6 +198,10 @@ class _Packed:
 
     def __len__(self) -> int:
         return self.n
+
+    def column(self, j: int):
+        """Point j of every item in turn."""
+        return self.points[j :: self.k]
 
 
 def _pack(out, points):

@@ -9,15 +9,15 @@ one popcount (O(v^2 * b/64) word operations on v * b bits); above that,
 an array of its blocks' indices, so its row is a count of those blocks'
 points (O(b * k^2) counts on b * k 32-bit entries). Groups are always
 bitsets; a pair is same-group iff its two group bitsets meet, so the
-grouped check is the plain sweep plus that mask. Every collection first
-becomes one array of point indices, item after item (see `_indices`): a
-packed one through its `points` and `k` (a BlockFamily, or the cli's
-ingest of an exported file, which packs its points as it reads them), any
-other iterable of items, such as tuples, by chaining them. Both forms are
-built from that array, bitsets by bit planes of its columns (see
-`_bitset_incidence`). Each form flags the first item with a repeated or
-outside point, and that item is checked here for its size, a repeated
-point and a point outside the point set. Reports keep the full
+grouped check is the plain sweep plus that mask. Both forms are built
+from columns of point indices (see `_indices`): a packed collection (a
+BlockFamily, or the cli's ingest of an exported file) gives one column of
+points at a time, so bitsets are built a column at a time, by bit planes
+(see `_bitset_incidence`), and the index form keeps only its k index
+columns; any other iterable of items, such as tuples, is chained. Each
+form flags the first item with a repeated or outside point, and that
+item is re-read and checked here for its size, a repeated point and a
+point outside the point set. Reports keep the full
 histograms so near-misses stay diagnosable, and the first counterexample
 is deterministic (smallest failing pair in lexicographic order).
 """
@@ -90,41 +90,46 @@ def _check_item(item, size: int, index: dict, noun: str, repeat_error) -> None:
 
 
 def _indices(collection, index: dict, noun: str, repeat_error, empty: str, small=None):
-    """(point indices, item count, item size, fail(j)) of a collection of
-    blocks or groups: the index of every item's points in turn, len(index)
-    for a point outside the point set, and fail(j), which raises the first
-    defect of item j.
+    """(column, item count, item size, fail(j)) of a collection of blocks
+    or groups: column(c) gives the index of point c of every item in turn,
+    len(index) for a point outside the point set, and fail(j) raises the
+    first defect of item j.
 
-    A packed collection (a family, or the cli's ingest) gives its `points`
-    and `k`. Anything else is made a sequence;
+    A packed collection (a family, or the cli's ingest) gives its `k` and
+    `column(c)`, translated when asked for; fail re-reads its `points`.
+    Anything else is made a sequence;
     if its items do not all have the first one's size, or one holds an
     unhashable point, they are checked in order and the first defective
     one raises. No item raises ShapeError(empty), and items of fewer than
     two points raise ShapeError(small) if it is given.
     """
-    family = hasattr(collection, "points")
+    family = hasattr(collection, "column")
     items = collection if family or isinstance(collection, (list, tuple)) else list(collection)
     if not len(items):
         raise ShapeError(empty)
     size = items.k if family else len(items[0])
     if small and size < 2:
         raise ShapeError(small)
-    points = items.points if family else chain.from_iterable(items)
-    item = (lambda j: tuple(points[j * size : j * size + size])) if family else items.__getitem__
+    v = len(index)
+    table = bytes(map(index.get, range(256), repeat(v))) if v < 256 else None
+
+    def translate(points):
+        if table and isinstance(points, bytes):
+            return points.translate(table)
+        idx = map(index.get, points, repeat(v))
+        return bytes(idx) if table else array("I", idx)
 
     def fail(j: int):
-        _check_item(item(j), size, index, noun, repeat_error)
+        item = tuple(items.points[j * size : j * size + size]) if family else items[j]
+        _check_item(item, size, index, noun, repeat_error)
         raise AssertionError(f"{noun} {j} is flagged but shows no defect")
 
-    v = len(index)
+    if family:
+        return (lambda c: translate(items.column(c))), len(items), size, fail
     try:
-        if family or set(map(len, items)) == {size}:
-            if isinstance(points, bytes) and v < 256:
-                idx = points.translate(bytes(index.get(x, v) for x in range(256)))
-            else:
-                idx = map(index.get, points, repeat(v))
-                idx = bytes(idx) if v < 256 else array("I", idx)
-            return idx, len(items), size, fail
+        if set(map(len, items)) == {size}:
+            idx = translate(chain.from_iterable(items))
+            return [idx[c::size] for c in range(size)].__getitem__, len(items), size, fail
     except TypeError:
         pass
     for it in items:
@@ -171,19 +176,19 @@ def _split(planes: list[int], lanes: int):
             stack.append((held ^ high, t, x))
 
 
-def _bitset_incidence(idx, size: int, v: int, fail) -> list[int]:
+def _bitset_incidence(column, size: int, v: int, fail) -> list[int]:
     """rows, rows[i] the int whose bit j is set iff item j holds index i,
-    from the point indices of items of `size` points each.
+    from the index columns `column(c)` of items of `size` points each.
 
-    Each column of the indices splits into its bit planes, and the
-    AND-trie over them gives every index's items in that column; OR-ing
-    the columns gives the rows. An item whose index shows up in two
-    columns repeats a point, and index v is a point outside the point
-    set. The first such item, named by the lowest failing lane, fails.
+    Each column in turn splits into its bit planes, and the AND-trie over
+    them gives every index's items in that column; OR-ing the columns
+    gives the rows. An item whose index shows up in two columns repeats a
+    point, and index v is a point outside the point set. The first such
+    item, named by the lowest failing lane, fails.
     """
     rows, bad = [0] * (v + 1), 0
     for c in range(size):
-        col = idx[c::size]
+        col = column(c)
         for x, held in _split(_planes(col, v.bit_length()), (1 << len(col)) - 1):
             bad |= rows[x] & held
             rows[x] |= held
@@ -193,13 +198,13 @@ def _bitset_incidence(idx, size: int, v: int, fail) -> list[int]:
     return rows
 
 
-def _index_incidence(idx, size: int, v: int, fail) -> list:
+def _index_incidence(cols: list, v: int, fail) -> list:
     """rows, rows[i] an array of the items that hold index i, from the
-    same point indices. The first item that holds index v, or one index
-    twice (it shows up twice in that index's row), fails."""
+    index columns of the items. The first item that holds index v, or one
+    index twice (it shows up twice in that index's row), fails."""
     rows = [array("I") for _ in range(v + 1)]
-    for c in range(size):
-        for j, x in enumerate(memoryview(idx)[c::size]):
+    for col in cols:
+        for j, x in enumerate(col):
             rows[x].append(j)
     bad = [*rows.pop(), *(min(j for j, n in Counter(row).items() if n > 1)
                           for row in rows if len(set(row)) < len(row))]
@@ -214,26 +219,27 @@ def _block_incidence(blocks, index: dict):
     Row a of the coverage rows, made when the sweep reaches it, lists
     the coverage of the pairs (a, c) for c > a in order.
     """
-    idx, b, k, fail = _indices(blocks, index, "block", ShapeError,
-                               "cannot verify an empty block collection",
-                               "blocks must have at least two points")
+    column, b, k, fail = _indices(blocks, index, "block", ShapeError,
+                                  "cannot verify an empty block collection",
+                                  "blocks must have at least two points")
     v = len(index)
     packed = v <= _BITSET_MAX_V_PER_K * k
-    inc = (_bitset_incidence if packed else _index_incidence)(idx, k, v, fail)
-    r_counts = Counter(map(int.bit_count if packed else len, inc))
     if packed:
+        inc = _bitset_incidence(column, k, v, fail)
         rows = (
             [(row & other).bit_count() for other in inc[a + 1:]]
             for a, row in enumerate(inc)
         )
     else:
         # Row a: how often each later index turns up in the blocks of a.
-        cols = [memoryview(idx)[c::k] for c in range(k)]  # views, not copies
+        cols = [column(c) for c in range(k)]
+        inc = _index_incidence(cols, v, fail)
         rows = (
             map(Counter(chain.from_iterable(map(col.__getitem__, row) for col in cols)).get,
                 range(a + 1, v), repeat(0))
             for a, row in enumerate(inc)
         )
+    r_counts = Counter(map(int.bit_count if packed else len, inc))
     return b, k, dict(sorted(r_counts.items())), rows
 
 
@@ -300,9 +306,9 @@ def verify_gdd(points, groups, blocks) -> GddReport:
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
-    idx, group_count, size, fail = _indices(groups, index, "group", PartitionError,
-                                            "cannot verify with an empty group collection")
-    ginc = _bitset_incidence(idx, size, len(pts), fail)
+    column, group_count, size, fail = _indices(groups, index, "group", PartitionError,
+                                               "cannot verify with an empty group collection")
+    ginc = _bitset_incidence(column, size, len(pts), fail)
     partition_ok = group_count > 1 and all(
         row.bit_count() == 1 for row in ginc
     )

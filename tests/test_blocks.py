@@ -7,7 +7,7 @@ import random
 import time
 import tracemalloc
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -201,12 +201,17 @@ SEARCH_GROUNDS = dict(_search_grounds())
 
 
 class TestXorSubsets:
-    """`_xor_subsets` against the brute-force oracle: the same list of
-    tuples, in the same order."""
+    """`_xor_subsets` against the brute-force oracle: the lanes of the same
+    blocks, in the same order, as `_pack` writes them, in 1-byte and in
+    4-byte lanes."""
 
     @staticmethod
-    def _search(ground, k, target):
-        return blocks_module._xor_subsets(ground, k, target, blocks_module._Budget(10**9, "test"))
+    def _search(ground, k, target, size=1):
+        return blocks_module._xor_subsets(ground, k, target, blocks_module._Budget(10**9, "test"), size)
+
+    @staticmethod
+    def _lanes(blocks, size):
+        return blocks_module._pack(list(chain.from_iterable(blocks)), size)
 
     @pytest.mark.parametrize("target_kind", ["zero", "in-ground", "outside"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -218,32 +223,51 @@ class TestXorSubsets:
             "in-ground": ground[len(ground) // 2],
             "outside": min(set(range(1, 2 * ground[-1] + 2)) - set(ground)),
         }[target_kind]
-        got = self._search(ground, k, target)
-        assert got == brute_xor_subsets(ground, k, target)
-        assert all(type(b) is tuple for b in got)
+        want = brute_xor_subsets(ground, k, target)
+        for size in (1, 4):
+            got = self._search(ground, k, target, size)
+            assert type(got) is bytes and got == self._lanes(want, size)
 
     @pytest.mark.parametrize("name", SEARCH_GROUNDS)
     def test_the_whole_ground_is_one_block_or_none(self, name):
         ground = SEARCH_GROUNDS[name]
         whole = xor_sum(ground)
-        assert self._search(ground, len(ground), whole) == [ground]
-        assert self._search(ground, len(ground), whole ^ 1) == []
-        assert self._search(ground[:2], 2, ground[0] ^ ground[1]) == [ground[:2]]
-        assert self._search(ground[:1], 1, ground[0]) == [ground[:1]]
+        for size in (1, 4):
+            assert self._search(ground, len(ground), whole, size) == self._lanes([ground], size)
+            assert self._search(ground, len(ground), whole ^ 1, size) == b""
+            assert self._search(ground[:2], 2, ground[0] ^ ground[1], size) == self._lanes([ground[:2]], size)
+            assert self._search(ground[:1], 1, ground[0], size) == self._lanes([ground[:1]], size)
 
     def test_one_point_heads_keep_no_table(self):
-        """The k = 3 search over 1,023 points peaks at ~12 MiB traced, and
-        at 48 MiB if each one-point head's pair table were kept."""
+        """The k = 3 search over 1,023 points writes 2 MiB of lanes and
+        peaks at ~4.3 MiB traced; keeping each one-point head's pair table
+        took it to 48 MiB."""
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            out = self._search(tuple(range(1, 1024)), 3, 0)
+            out = self._search(tuple(range(1, 1024)), 3, 0, 4)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(out) == 174_251
-        assert peak < 20 * 2**20
+        assert len(out) == 174_251 * 3 * 4
+        assert peak < 8 * 2**20
+
+    def test_the_family_peaks_near_twice_its_lanes(self):
+        """`zero_sum_blocks(10, 3)` holds no tuple per block: its traced
+        peak is the search's output buffer and the copy made of it, then
+        the lanes and one chunk of the family check (~4.7 MiB for 2.0 MiB
+        of lanes, where a tuple per block took it to 17.7 MiB)."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fam = zero_sum_blocks(10, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(fam) == 174_251
+        assert peak < 2.5 * len(fam.lanes)
 
 
 class TestZeroSumBlocksContaining:
@@ -689,7 +713,7 @@ class TestFamilyPlumbing:
             shift_invariant_blocks(4, 4, 1)  # built from the cosets of 2, checked against 1
         assert str(exc.value) == "enumerated block (1, 3, 4, 6) violates the L predicate"
         assert isinstance(exc.value.__cause__, FamilyError)
-        monkeypatch.setattr(blocks_module, "_xor_subsets", lambda *args: [(1, 2, 4)])
+        monkeypatch.setattr(blocks_module, "_xor_subsets", lambda *args: bytes((1, 2, 4)))
         with pytest.raises(ConsistencyError) as exc:
             zero_sum_blocks(3, 3)
         assert str(exc.value) == "enumerated block (1, 2, 4) violates the W predicate"

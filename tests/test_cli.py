@@ -823,7 +823,7 @@ class TestUsage:
         assert captured.err == "error: internal: RuntimeError: forced\n"
 
     def test_an_enumerators_own_bad_block_exits_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(blocks, "_xor_subsets", lambda *args: [(1, 2, 4)])
+        monkeypatch.setattr(blocks, "_xor_subsets", lambda *args: bytes((1, 2, 4)))  # the lanes of one block
         assert cli.main(["enumerate", "--m", "3", "--k", "3"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from design_forge import designs
+from design_forge import cli, designs
 from design_forge.blocks import gdd_blocks, gdd_groups, zero_sum_blocks
 from design_forge.designs import (
     GddReport,
@@ -288,6 +290,41 @@ class TestIncidenceForms:
             verify_bibd(range(1, 8), [(1, 2, 3), (1, 1, 2)])
         with pytest.raises(ContainmentError, match="uses point 9"):
             verify_bibd(range(1, 8), [(1, 2, 3), (1, 2, 9)])
+
+    @pytest.mark.parametrize("kind", [bytes, array, list])
+    @pytest.mark.parametrize("fault", ["top", "repeat"])
+    def test_a_fault_only_in_the_last_column_read(self, incidence_form, kind, fault):
+        # Packed blocks are translated one column at a time, so a block
+        # whose only defect is its last point is flagged by the last column
+        # read, and raises as the same blocks given as tuples do.
+        points, fam = range(1, 32), zero_sum_blocks(5, 4)
+        blocks = list(fam)
+        blocks[-3] = (*blocks[-3][:3], 32 if fault == "top" else blocks[-3][0])
+        flat = [x for b in blocks for x in b]
+        packed = cli._Packed(bytes(flat) if kind is bytes else array("I", flat) if kind is array else flat, 4, len(blocks))
+        assert [packed.column(j)[-3] for j in range(4)] == list(blocks[-3])
+        got = _outcome(verify_bibd, points, packed)
+        assert got == _outcome(verify_bibd, points, blocks) == _first_defect(blocks, points)
+        assert got[0] is (ContainmentError if fault == "top" else ShapeError)
+
+    def test_the_sweep_holds_no_copy_of_the_blocks(self):
+        # Beside the lanes (made before tracing starts) the bitset form
+        # holds its rows, v ints of b bits, and the scratch of one index
+        # column of b bytes at a time, about three such columns; an index
+        # copy of the whole family was six columns more.
+        fam = gdd_blocks(6, 6, 5, ordered=False)
+        points, groups = lifted_points(6, 5), gdd_groups(6, 5)
+        b, v = len(fam), len(points)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = verify_gdd(points, groups, fam)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.b == b == 722_176
+        assert peak < v * b // 8 + 4 * b
 
     @pytest.mark.parametrize("m,k", [(6, 3), (7, 3), (8, 3)])
     def test_zero_sum_designs_on_each_side_of_the_choice(self, m, k):
