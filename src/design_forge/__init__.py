@@ -14,75 +14,55 @@ independent so each can cross-examine the others; `cli` ties them into a
 command-line tool with a one-shot crosscheck.
 """
 
-from .blocks import (
-    DEFAULT_NODE_BUDGET,
-    Block,
-    BlockFamily,
-    family_predicate,
-    gdd_blocks,
-    gdd_groups,
-    shift_invariant_blocks,
-    sum_to_shift_blocks,
-    sum_to_zero_blocks,
-    zero_sum_blocks,
-    zero_sum_blocks_containing,
-)
-from .designs import DesignReport, GddReport, observed_params, verify_bibd, verify_gdd
-from .errors import (
-    ArgumentError,
-    BudgetExceededError,
-    ConsistencyError,
-    ContainmentError,
-    DesignForgeError,
-    FamilyError,
-    InvalidShiftError,
-    PartitionError,
-    RangeError,
-    ShapeError,
-    StateError,
-)
-from .field import cosets_of, nonzero_elements
-from .params import (
-    closed_form_balance,
-    hamming_weight_counts,
-    parameter_rows,
-    reference_gdd_balance,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgumentError",
-    "Block",
-    "BlockFamily",
-    "BudgetExceededError",
-    "ConsistencyError",
-    "ContainmentError",
-    "DEFAULT_NODE_BUDGET",
-    "DesignForgeError",
-    "DesignReport",
-    "FamilyError",
-    "GddReport",
-    "InvalidShiftError",
-    "PartitionError",
-    "RangeError",
-    "ShapeError",
-    "StateError",
-    "closed_form_balance",
-    "cosets_of",
-    "family_predicate",
-    "gdd_blocks",
-    "gdd_groups",
-    "hamming_weight_counts",
-    "nonzero_elements",
-    "observed_params",
-    "parameter_rows",
-    "reference_gdd_balance",
-    "shift_invariant_blocks",
-    "sum_to_shift_blocks",
-    "sum_to_zero_blocks",
-    "verify_bibd",
-    "verify_gdd",
-    "zero_sum_blocks",
-    "zero_sum_blocks_containing",
-]
+# Each public name and the module that defines it. A module is imported
+# when one of its names is first read (see `__getattr__`), so importing
+# the package loads no route that the caller does not use.
+_HOMES = {
+    "ArgumentError": "errors",
+    "Block": "blocks",
+    "BlockFamily": "blocks",
+    "BudgetExceededError": "errors",
+    "ConsistencyError": "errors",
+    "ContainmentError": "errors",
+    "DEFAULT_NODE_BUDGET": "field",
+    "DesignForgeError": "errors",
+    "DesignReport": "designs",
+    "FamilyError": "errors",
+    "GddReport": "designs",
+    "InvalidShiftError": "errors",
+    "PartitionError": "errors",
+    "RangeError": "errors",
+    "ShapeError": "errors",
+    "StateError": "errors",
+    "closed_form_balance": "params",
+    "cosets_of": "field",
+    "family_predicate": "blocks",
+    "gdd_blocks": "blocks",
+    "gdd_groups": "blocks",
+    "hamming_weight_counts": "params",
+    "nonzero_elements": "field",
+    "observed_params": "designs",
+    "parameter_rows": "params",
+    "reference_gdd_balance": "params",
+    "shift_invariant_blocks": "blocks",
+    "sum_to_shift_blocks": "blocks",
+    "sum_to_zero_blocks": "blocks",
+    "verify_bibd": "designs",
+    "verify_gdd": "designs",
+    "zero_sum_blocks": "blocks",
+    "zero_sum_blocks_containing": "blocks",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    """A public name, read from its module on first use and kept here."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value

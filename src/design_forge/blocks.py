@@ -40,6 +40,8 @@ from .errors import (
     RangeError,
 )
 from .field import (
+    DEFAULT_NODE_BUDGET,
+    FAMILY_KINDS,
     MAX_AMBIENT_EXPONENT,
     MIN_EXPONENT,
     check_exponent,
@@ -50,10 +52,6 @@ from .field import (
 )
 
 Block = tuple[int, ...]
-
-DEFAULT_NODE_BUDGET = 100_000_000
-
-FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
 
 # Blocks per lane-packed check, and bases per chunk of the lift. A check's
 # scratch memory is a few bytes per point of one chunk, however large the

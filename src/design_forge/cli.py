@@ -22,19 +22,17 @@ limit, never a verdict on the design), 130 interrupted (KeyboardInterrupt).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import re
 import sys
-import tempfile
 import time
 from array import array
 from itertools import chain, islice
 
-from . import blocks, designs, params
+# The routes (blocks, designs, params), json, dataclasses and tempfile are imported
+# by the helpers that use them: a command loads only what it runs, --help none.
 from .errors import ArgumentError, BudgetExceededError, InputError
-from .field import MAX_AMBIENT_EXPONENT, MIN_EXPONENT, check_exponent, check_shift
+from .field import DEFAULT_NODE_BUDGET, FAMILY_KINDS, MAX_AMBIENT_EXPONENT, MIN_EXPONENT, check_exponent, check_shift
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -96,6 +94,7 @@ def _write_output(text, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.writelines(pieces)
         return
+    import tempfile
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".design-forge-")
     try:
@@ -118,6 +117,7 @@ def _csv_text(rows) -> _Text:
 
 
 def _enumerate_family(args) -> blocks.BlockFamily:
+    from . import blocks
     m, k, budget = args.m_single, _single(args.k, "--k"), args.budget
     family = args.family
     if family == "W":
@@ -144,6 +144,7 @@ def _enumerate_family(args) -> blocks.BlockFamily:
 
 def _record_head(m: int, k: int, family: str, alpha: int | None) -> str:
     """A block record's text up to its points."""
+    import json
     return json.dumps({"m": m, "k": k, "family": family, "alpha": alpha, "block": []})[:-3]
 
 
@@ -235,6 +236,7 @@ def _read_jsonl_blocks(
     fields is matched whole by one regular expression, then its points
     are read by one json.loads. Any other batch is checked line by line.
     """
+    import json
     head = _record_head(expect_m, expect_k, expect_family, expect_alpha)
     records = None
     if 1 <= expect_k < 1 << 32:  # a repeat count that re compiles
@@ -289,15 +291,19 @@ def _read_jsonl_blocks(
 
 
 def _report_json(report: designs.DesignReport) -> str:
+    import dataclasses
+    import json
     return json.dumps(dataclasses.asdict(report)) + "\n"
 
 
 def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
     """The zero-sum design of GF(2^m), enumerated or read, and its report."""
+    from . import designs
     check_exponent(m)
     if blocks_path:
         block_list = _read_jsonl_blocks(blocks_path, m, k, "W", None)
     else:
+        from . import blocks
         block_list = blocks.zero_sum_blocks(m, k, budget)
     return block_list, designs.verify_bibd(range(1, 1 << m), block_list)
 
@@ -305,6 +311,7 @@ def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
 def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, groups_path=None, base=None):
     """The report on the design lifted to GF(2^(m+1)) for alpha: its groups,
     then its blocks, each derived (lifted from `base` if given) or read."""
+    from . import blocks, designs
     ambient = m + 1
     check_exponent(ambient, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient)
@@ -346,6 +353,7 @@ def cmd_verify_gdd(args) -> int:
 
 def _param_rows(m: int, rows):
     """The table's CSV rows, each formatted as it is written."""
+    from . import params
     header = [
         "k",
         "b_k",
@@ -375,6 +383,7 @@ def cmd_params(args) -> int:
     # (exit 4) instead of being printed. The rows are made and formatted
     # inside it, so the caller's context is never changed.
     import decimal
+    from . import params
 
     m = args.m_single
     check_exponent(m)
@@ -398,6 +407,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from . import designs, params
     m_lo, m_hi = _parse_span(args.m)
     check_exponent(m_lo)
     check_exponent(m_hi)
@@ -484,7 +494,7 @@ def _add_common(sub, *, k_flag=True, alpha=False, budget=True, out=True):
     if alpha:
         sub.add_argument("--alpha", type=int, help="coset-defining shift")
     if budget:
-        sub.add_argument("--budget", type=int, default=blocks.DEFAULT_NODE_BUDGET, help="enumeration node budget (default %(default)s)")
+        sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="enumeration node budget (default %(default)s)")
     if out:
         sub.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -507,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, alpha=True)
         p.add_argument(
             "--family",
-            choices=blocks.FAMILY_KINDS,
+            choices=FAMILY_KINDS,
             default="W",
             help="family U lives in GF(2^(m+1)); --k 2 with U yields the groups",
         )
@@ -555,6 +565,12 @@ def main(argv=None) -> int:
         args.m_single = _single(args.m, "--m") if args.command != "crosscheck" else None
         if getattr(args, "budget", 1) <= 0:
             raise ArgumentError(f"budget must be positive, got {args.budget}")
+        if args.out is not None:  # refused now, not after the work
+            target = os.path.abspath(args.out)
+            if os.path.isdir(target):
+                raise ArgumentError(f"--out {args.out} is a directory")
+            if not os.path.isdir(os.path.dirname(target)):
+                raise ArgumentError(f"--out {args.out} is in a directory that does not exist")
         return args.handler(args)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -15,6 +15,10 @@ MIN_EXPONENT = 3
 MAX_EXPONENT = 16
 # Lifted constructions live one exponent above their base field.
 MAX_AMBIENT_EXPONENT = MAX_EXPONENT + 1
+# The enumerators' default node budget and their families, beside the limits so
+# that the CLI's parser shows them without loading `blocks`, which re-exports both.
+DEFAULT_NODE_BUDGET = 100_000_000
+FAMILY_KINDS = ("W", "Wpair", "I", "J", "L", "U")
 
 
 def check_exponent(m: int, lo: int = MIN_EXPONENT, hi: int = MAX_EXPONENT) -> None:

@@ -724,6 +724,27 @@ class TestUsage:
         assert proc.stdout == b""
         assert proc.stderr == f"error: {message}\n".encode()
 
+    @pytest.mark.parametrize(
+        "command", [["params", "--m", "3"], ["crosscheck", "--m", "3..4", "--k", "3..6", "--gdd"]],
+        ids=["params", "crosscheck"],
+    )
+    @pytest.mark.parametrize(
+        "where,problem",
+        [("", "is a directory"), ("missing/out.csv", "is in a directory that does not exist")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_unwritable_out_is_refused_before_the_command_runs(
+        self, monkeypatch, tmp_path, capsys, command, where, problem
+    ):
+        def ran(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, f"cmd_{command[0]}", ran)
+        out = tmp_path / where
+        assert cli.main([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out {out} {problem}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_streamed_text_counts_what_was_written(self, capsys):
         text = cli._csv_text([["a", "bc"], ["d"]])
         assert len(text) == 0
