@@ -562,35 +562,30 @@ def zero_sum_blocks_containing(
     return _enumerated(BlockFamily._from_lanes, "Wpair", m, k, _interleave(cols, n, lane), pair=(i, j))
 
 
-def sum_to_shift_blocks(
-    m: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET
-) -> BlockFamily:
+def _shifted_sum_blocks(kind: str, m: int, k: int, alpha: int, budget: int) -> BlockFamily:
+    """Family I (XOR-sum alpha) or J (XOR-sum 0), searched over the nonzero
+    elements less alpha."""
+    check_exponent(m)
+    check_shift(alpha, m)
+    _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
+    target, name = (alpha, "sum-to-shift") if kind == "I" else (0, "sum-to-zero")
+    bud = _Budget(budget, f"{name} blocks (m={m}, k={k}, alpha={alpha})")
+    ground = tuple(x for x in nonzero_elements(m) if x != alpha)
+    lanes = _xor_subsets(ground, k, target, bud, _lane_size(m))
+    return _enumerated(BlockFamily._from_lanes, kind, m, k, lanes, alpha=alpha)
+
+
+def sum_to_shift_blocks(m: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockFamily:
     """k-subsets of GF(2^m) avoiding {0, alpha} whose XOR-sum is alpha."""
-    check_exponent(m)
-    check_shift(alpha, m)
-    _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
-    bud = _Budget(budget, f"sum-to-shift blocks (m={m}, k={k}, alpha={alpha})")
-    ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    lanes = _xor_subsets(ground, k, alpha, bud, _lane_size(m))
-    return _enumerated(BlockFamily._from_lanes, "I", m, k, lanes, alpha=alpha)
+    return _shifted_sum_blocks("I", m, k, alpha, budget)
 
 
-def sum_to_zero_blocks(
-    m: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET
-) -> BlockFamily:
+def sum_to_zero_blocks(m: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockFamily:
     """k-subsets of GF(2^m) avoiding {0, alpha} whose XOR-sum is zero."""
-    check_exponent(m)
-    check_shift(alpha, m)
-    _check_k(k, 2, (1 << m) - 2, f"shifted-sum family in GF(2^{m})")
-    bud = _Budget(budget, f"sum-to-zero blocks (m={m}, k={k}, alpha={alpha})")
-    ground = tuple(x for x in nonzero_elements(m) if x != alpha)
-    lanes = _xor_subsets(ground, k, 0, bud, _lane_size(m))
-    return _enumerated(BlockFamily._from_lanes, "J", m, k, lanes, alpha=alpha)
+    return _shifted_sum_blocks("J", m, k, alpha, budget)
 
 
-def shift_invariant_blocks(
-    m: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET
-) -> BlockFamily:
+def shift_invariant_blocks(m: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockFamily:
     """k-subsets of the nonzero elements fixed setwise by XOR with alpha.
 
     Such a block is a union of k/2 whole cosets {x, x + alpha}, none of

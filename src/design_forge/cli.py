@@ -88,15 +88,14 @@ class _Text:
 
 
 def _write_output(text, out_path: str | None) -> None:
-    """Print a str or a `_Text` to stdout, or atomically replace the
-    target file with it: it is written to a temporary file first."""
+    """Print a str or a `_Text` to stdout, or atomically replace the file
+    `out_path` (resolved by `main`) with it via a temporary file beside it."""
     pieces = (text,) if isinstance(text, str) else text
     if out_path is None:
         sys.stdout.writelines(pieces)
         return
     import tempfile
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".design-forge-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out_path), prefix=".design-forge-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
@@ -126,20 +125,18 @@ def _enumerate_family(args) -> blocks.BlockFamily:
         if args.i is None or args.j is None:
             raise ArgumentError("family Wpair needs --i and --j")
         return blocks.zero_sum_blocks_containing(m, k, args.i, args.j, budget)
-    if family in ("I", "J", "L"):
-        if args.alpha is None:
-            raise ArgumentError(f"family {family} needs --alpha")
-        fn = {
-            "I": blocks.sum_to_shift_blocks,
-            "J": blocks.sum_to_zero_blocks,
-            "L": blocks.shift_invariant_blocks,
-        }[family]
-        return fn(m, k, args.alpha, budget)
-    if args.alpha is None:  # family U, the last of argparse's choices
-        raise ArgumentError("family U needs --alpha")
-    if k == 2:
-        return blocks.gdd_groups(m + 1, args.alpha)
-    return blocks.gdd_blocks(m + 1, k, args.alpha, budget)
+    if args.alpha is None:  # I, J, L and U, the rest of argparse's choices
+        raise ArgumentError(f"family {family} needs --alpha")
+    if family == "U":
+        if k == 2:
+            return blocks.gdd_groups(m + 1, args.alpha)
+        return blocks.gdd_blocks(m + 1, k, args.alpha, budget)
+    fn = {
+        "I": blocks.sum_to_shift_blocks,
+        "J": blocks.sum_to_zero_blocks,
+        "L": blocks.shift_invariant_blocks,
+    }[family]
+    return fn(m, k, args.alpha, budget)
 
 
 def _record_head(m: int, k: int, family: str, alpha: int | None) -> str:
@@ -311,7 +308,9 @@ def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
 def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, groups_path=None, base=None):
     """The report on the design lifted to GF(2^(m+1)) for alpha: its groups,
     then its blocks, each derived (lifted from `base` if given) or read."""
-    from . import blocks, designs
+    if not (blocks_path and groups_path):  # a family is made, not only read
+        from . import blocks
+    from . import designs
     ambient = m + 1
     check_exponent(ambient, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient)
@@ -566,11 +565,15 @@ def main(argv=None) -> int:
         if getattr(args, "budget", 1) <= 0:
             raise ArgumentError(f"budget must be positive, got {args.budget}")
         if args.out is not None:  # refused now, not after the work
-            target = os.path.abspath(args.out)
+            target = os.path.realpath(args.out)  # a link is kept and its target replaced
             if os.path.isdir(target):
                 raise ArgumentError(f"--out {args.out} is a directory")
             if not os.path.isdir(os.path.dirname(target)):
                 raise ArgumentError(f"--out {args.out} is in a directory that does not exist")
+            # A FIFO or a device, as the name is opened, or a link that never resolves.
+            if os.path.exists(args.out) and not os.path.isfile(args.out) or os.path.islink(target):
+                raise ArgumentError(f"--out {args.out} is not a regular file")
+            args.out = target
         return args.handler(args)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

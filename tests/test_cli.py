@@ -607,10 +607,26 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == "error: verify-gdd needs --alpha (an element of GF(2^(m+1)))\n"
 
-    def test_alpha_required_for_shifted_families(self):
+    def test_alpha_required_for_shifted_families(self, capsys):
         for family in ("I", "J", "L", "U"):
-            proc = run_cli(["enumerate", "--m", "3", "--k", "3", "--family", family])
-            assert proc.returncode == 2
+            assert cli.main(["enumerate", "--m", "3", "--k", "3", "--family", family]) == 2
+            assert capsys.readouterr() == ("", f"error: family {family} needs --alpha\n")
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["--family", "I", "--k", "5", "--budget", "10"], 3,
+             "sum-to-shift blocks (m=4, k=5, alpha=3): exceeded the enumeration budget of 10 nodes"),
+            (["--family", "J", "--k", "5", "--budget", "10"], 3,
+             "sum-to-zero blocks (m=4, k=5, alpha=3): exceeded the enumeration budget of 10 nodes"),
+            *((["--family", f, "--k", k], 2, f"shifted-sum family in GF(2^4): block size must be in 2..14, got {k}")
+              for f in "IJ" for k in ("1", "15")),
+        ],
+    )
+    def test_sum_to_shift_and_sum_to_zero_messages(self, argv, code, message, capsys):
+        # Pinned byte for byte: I and J are one enumerator with two targets.
+        assert cli.main(["enumerate", "--m", "4", "--alpha", "3", *argv]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_params_prints_past_the_int_to_str_limit(self, tmp_path):
         limited, unlimited = tmp_path / "limited.csv", tmp_path / "unlimited.csv"
@@ -744,6 +760,36 @@ class TestUsage:
         assert cli.main([*command, "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: --out {out} {problem}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_through_a_link_replaces_its_target_and_keeps_the_link(self, tmp_path, capsys):
+        assert cli.main(["params", "--m", "3"]) == 0
+        table = capsys.readouterr().out
+        target, link = tmp_path / "table.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        assert cli.main(["params", "--m", "3", "--out", str(link)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert os.readlink(link) == target.name
+        assert target.read_bytes() == table.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "table.csv"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "link-loop"])
+    def test_out_that_is_not_a_regular_file_is_refused_before_the_command_runs(
+        self, monkeypatch, tmp_path, capsys, kind
+    ):
+        def ran(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "cmd_params", ran)
+        out = tmp_path / "out"
+        if kind == "fifo":
+            os.mkfifo(out)
+        else:
+            out.symlink_to("loop")
+            (tmp_path / "loop").symlink_to("out")
+        assert cli.main(["params", "--m", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out {out} is not a regular file\n")
+        assert out.is_fifo() if kind == "fifo" else os.readlink(out) == "loop"
 
     def test_streamed_text_counts_what_was_written(self, capsys):
         text = cli._csv_text([["a", "bc"], ["d"]])

@@ -38,14 +38,18 @@ def _loaded_routes(args) -> tuple[int, set[str]]:
         (["params", "--m", "3"], {"params"}),
         (["export", "--m", "3", "--k", "3", "--out", "{w}"], {"blocks"}),
         (["verify-bibd", "--m", "3", "--k", "3", "--blocks", "{w}"], {"designs"}),
+        (["verify-gdd", "--m", "3", "--k", "3", "--alpha", "1", "--blocks", "{u}", "--groups", "{g}"], {"designs"}),
     ],
-    ids=["help", "params", "export", "verify-bibd-blocks"],
+    ids=["help", "params", "export", "verify-bibd-blocks", "verify-gdd-blocks-groups"],
 )
 def test_each_command_loads_only_the_routes_it_runs(tmp_path, capsys, argv, routes):
-    w = tmp_path / "w.jsonl"
-    assert cli.main(["export", "--m", "3", "--k", "3", "--out", str(w)]) == 0
+    # The zero-sum blocks, and the lifted design's blocks and groups for alpha 1.
+    files = {name: tmp_path / f"{name}.jsonl" for name in "wug"}
+    for name, family, k in (("w", "W", "3"), ("u", "U", "3"), ("g", "U", "2")):
+        export = ["export", "--m", "3", "--k", k, "--family", family, "--alpha", "1"]
+        assert cli.main([*export, "--out", str(files[name])]) == 0
     capsys.readouterr()
-    assert _loaded_routes(["-c", PROBE, *(arg.format(w=w) for arg in argv)]) == (0, routes)
+    assert _loaded_routes(["-c", PROBE, *(arg.format(**files) for arg in argv)]) == (0, routes)
 
 
 @pytest.mark.parametrize(
