@@ -43,7 +43,6 @@ _HOMES = {
     "family_predicate": "blocks",
     "gdd_blocks": "blocks",
     "gdd_groups": "blocks",
-    "hamming_weight_counts": "params",
     "nonzero_elements": "field",
     "observed_params": "designs",
     "parameter_rows": "params",

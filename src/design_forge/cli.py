@@ -95,8 +95,12 @@ def _write_output(text, out_path: str | None) -> None:
         sys.stdout.writelines(pieces)
         return
     import tempfile
+    # A replaced file keeps its mode; a new one gets what open() would give it.
+    os.umask(umask := os.umask(0))
+    mode = os.stat(out_path).st_mode & 0o7777 if os.path.exists(out_path) else 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out_path), prefix=".design-forge-")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
         os.replace(tmp, out_path)
@@ -362,7 +366,7 @@ def _param_rows(m: int, rows):
         "closed_lambda_k",
         "reference_lambda_prime_k",
     ]
-    closed_top = 7 if m >= 4 else 4  # the closed forms' range
+    closed_top = min(7, (1 << m) - 4)  # the table's closed_lambda_k cells
 
     def row(values) -> list[str]:
         k = values[0]
@@ -454,7 +458,8 @@ def cmd_crosscheck(args) -> int:
                 _, b, r, lam = designs.observed_params(report)
             else:
                 b, r, lam = report.b, "unbalanced", "unbalanced"
-            record(m, k, "bibd", b, b_k, lam, lam_k, ("replication", r, r_k))
+            closed = params.closed_form_balance(m, k)  # a second route to lambda_k
+            record(m, k, "bibd", b, b_k, lam, lam_k, ("replication", r, r_k), ("closed_lambda", closed, lam_k))
             if args.gdd:
                 reports = [_gdd_report(m, k, a, args.budget, base=base) for a in range(1, 2 << m)]
                 observed = {x.cross_group_lambda if x.passed else "unbalanced" for x in reports}

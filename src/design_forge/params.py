@@ -17,8 +17,7 @@ exactly by identity.
 """
 from __future__ import annotations
 
-from itertools import islice
-from math import factorial
+from math import comb, factorial
 
 from .errors import ConsistencyError, RangeError
 from .field import check_exponent
@@ -30,48 +29,18 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def hamming_weight_counts(m: int, k_max: int) -> list[int]:
-    """Counts b_k of zero-XOR-sum k-subsets of the nonzero elements of GF(2^m).
-
-    Entry k is also the number of weight-k codewords of the binary Hamming
-    code of length v = 2^m - 1. Computed by the recursion
-
-        (k+1) b_{k+1} + b_k + (v-k+1) b_{k-1} = C(v, k),   b_0 = 1,
-
-    which forces b_1 = b_2 = 0 and stays exact at every step. C(v, k) is
-    carried from one step to the next. Entries 2 .. 2^m - 3 are the b_k of
-    `parameter_rows`; the last two, b_{v-1} = 0 and b_v = 1, are where the
-    recursion ends, which `parameter_rows` asserts after its last row.
-    """
-    check_exponent(m)
-    v = (1 << m) - 1
-    if not 0 <= k_max <= v:
-        raise RangeError(f"k_max must be in 0..{v}, got {k_max}")
-    rows = parameter_rows(m)
-    if k_max < v - 1:  # the rows past k_max are never made
-        rows = islice(rows, max(k_max - 1, 0))
-    return [1, 0, *(b for _, b, _, _, _ in rows), 0, 1][: k_max + 1]
-
-
 def closed_form_balance(m: int, k: int) -> int:
-    """Closed-form lambda_k for k = 3..7 (rows k >= 5 need m >= 4)."""
+    """lambda_k = k(k-1) b_k / (n(n-1)) for k = 3 .. n - 3, n = 2^m - 1, where
+    b_k = [C(n, k) + n c_k] / (n + 1) is the weight enumerator of the Hamming
+    code of length n (MacWilliams & Sloane, ch. 6) and c_k, the coefficient of
+    x^k in (1 - x)(1 - x^2)^((n-1)/2), is (-1)^(k//2 + k%2) C((n-1)/2, k//2)."""
     check_exponent(m)
-    if k not in (3, 4, 5, 6, 7):
-        raise RangeError(f"closed forms cover k = 3..7 only, got {k}")
-    if k >= 5 and m < 4:
-        raise RangeError(f"closed forms for k >= 5 need m >= 4, got m={m}")
-    q = 1 << m
-    if k == 3:
-        return 1
-    if k == 4:
-        return _exact_div(q - 4, 2, "closed form k=4")
-    if k == 5:
-        return _exact_div((q - 4) * (q - 8), 6, "closed form k=5")
-    if k == 6:
-        return _exact_div((q - 4) * (q - 6) * (q - 8), 24, "closed form k=6")
-    return _exact_div(
-        (q - 4) * (q - 6) * (q * q - 15 * q + 71), 120, "closed form k=7"
-    )
+    n = (1 << m) - 1
+    if not isinstance(k, int) or not 3 <= k <= n - 3:
+        raise RangeError(f"closed form: block size must be in 3..{n - 3}, got {k!r}")
+    c_k = (-1) ** (k // 2 + k % 2) * comb(n >> 1, k // 2)
+    b = _exact_div(comb(n, k) + n * c_k, n + 1, "closed-form block count")
+    return _exact_div(k * (k - 1) * b, n * (n - 1), "closed-form balance")
 
 
 def reference_gdd_balance(m: int, k: int) -> int:
@@ -91,8 +60,10 @@ def reference_gdd_balance(m: int, k: int) -> int:
 
 
 def _weight_step(k: int, v: int, prev, b, c):
-    """One step of the weight recursion: from b_{k-1}, b_k and C(v, k) to
-    b_k, b_{k+1} and C(v, k+1). C(v, k) * (v - k) divides by k + 1 exactly."""
+    """One step of the weight recursion (k+1) b_{k+1} + b_k + (v-k+1) b_{k-1}
+    = C(v, k), b_0 = 1, of the Hamming code of length v (it forces b_1 = b_2
+    = 0): from b_{k-1}, b_k and C(v, k) to b_k, b_{k+1} and C(v, k+1).
+    C(v, k) * (v - k) divides by k + 1 exactly."""
     nxt = _exact_div(c - b - (v - k + 1) * prev, k + 1, "weight-count recursion")
     return b, nxt, c * (v - k) // (k + 1)
 
@@ -101,7 +72,8 @@ def parameter_rows(m: int, unit=1):
     """Yield (k, b_k, r_k, lambda_k, lambda'_k) for k = 2 .. 2^m - 3, one
     pass over k without any enumeration.
 
-    b_k is stepped by the weight recursion of `hamming_weight_counts`. The
+    b_k, the number of zero-XOR-sum k-subsets of the nonzero elements of
+    GF(2^m), is stepped by the weight recursion of `_weight_step`. The
     other three columns are stepped with it, from r_3 = (2^m - 2) / 2 and
     lambda_3 = lambda'_3 = 1 (the pair {i, j} lies in exactly one 3-subset,
     {i, j, i+j}):
@@ -167,6 +139,11 @@ def parameter_rows(m: int, unit=1):
 
 
 # Column views of parameter_rows, kept because perfbench/traced.py wraps these names.
+def hamming_weight_counts(m: int) -> dict[int, int]:
+    """Block counts b_k, k = 2 .. 2^m - 3."""
+    return {k: b for k, b, _, _, _ in parameter_rows(m)}
+
+
 def replication_numbers(m: int) -> dict[int, int]:
     """Per-point block counts r_k, k = 2 .. 2^m - 3."""
     return {k: r for k, _, r, _, _ in parameter_rows(m)}

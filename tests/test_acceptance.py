@@ -23,7 +23,7 @@ from design_forge.params import (
     balance_parameters,
     closed_form_balance,
     gdd_balance_parameters,
-    hamming_weight_counts,
+    parameter_rows,
     replication_numbers,
 )
 from helpers import (
@@ -99,7 +99,7 @@ def test_criterion_3_bridging_identity(gdd_sweep):
 
 def test_criterion_4_recurrence_enumeration_agreement():
     for m, ks in ((3, range(3, 5)), (4, range(3, 13))):
-        b = hamming_weight_counts(m, 2**m - 3)
+        b = {k: b_k for k, b_k, _, _, _ in parameter_rows(m)}
         r = replication_numbers(m)
         lam = balance_parameters(m)
         for k in ks:
@@ -168,7 +168,7 @@ def test_criterion_6_replacement_map_property_suite():
 def test_criterion_7_structural_invariants():
     for m in range(3, 9):
         v = 2**m - 1
-        b = hamming_weight_counts(m, v)
+        b = [1, 0, *(row[1] for row in parameter_rows(m)), 0, 1]  # b_0 .. b_v
         assert b == b[::-1], m  # palindrome via recurrence
         assert sum(b) == 2 ** (v - m), m  # total codeword count
         replication_numbers(m)  # all divisions exact or ConsistencyError

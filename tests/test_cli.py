@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -398,6 +399,19 @@ class TestCrosscheck:
             "3,3,gdd,lambda,1,2",
         ]
 
+    def test_closed_form_disagreeing_with_the_table_exits_1(self, monkeypatch, capsys):
+        # The closed form is a second route to lambda_k, checked without a column.
+        real = params.closed_form_balance
+        monkeypatch.setattr(params, "closed_form_balance", lambda m, k: real(m, k) + 1)
+        assert cli.main(["crosscheck", "--m", "3", "--k", "3..4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["3,3,bibd,7,7,1,1,no", "3,4,bibd,7,7,2,2,no"]
+        assert captured.err.splitlines() == [
+            "m,k,check,field,observed,expected",
+            "3,3,bibd,closed_lambda,2,1",
+            "3,4,bibd,closed_lambda,3,2",
+        ]
+
     def test_one_zero_sum_search_per_cell(self, monkeypatch, capsys):
         # Every alpha of a cell lifts the family its bibd row searched.
         real, calls = blocks._xor_subsets, []
@@ -772,6 +786,34 @@ class TestUsage:
         assert os.readlink(link) == target.name
         assert target.read_bytes() == table.encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "table.csv"]
+
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+    )
+    def test_a_new_out_file_has_the_mode_open_would_give_it(self, tmp_path, capsys, umask, mode):
+        out = tmp_path / "table.csv"
+        old = os.umask(umask)
+        try:
+            assert cli.main(["params", "--m", "3", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["file", "link"])
+    def test_a_replaced_out_file_keeps_its_mode(self, tmp_path, capsys, through_link):
+        target, link = tmp_path / "table.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        old = os.umask(0o022)
+        try:
+            assert cli.main(["params", "--m", "3", "--out", str(link if through_link else target)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text().startswith("k,b_k,")
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("kind", ["fifo", "link-loop"])
     def test_out_that_is_not_a_regular_file_is_refused_before_the_command_runs(

@@ -28,4 +28,4 @@ def test_faults_and_limits_are_not_input_errors():
 
 def test_input_error_stays_out_of_the_public_names():
     assert "InputError" not in design_forge.__all__
-    assert len(design_forge.__all__) == 33
+    assert len(design_forge.__all__) == 32

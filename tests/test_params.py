@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 
 import pytest
@@ -20,49 +21,54 @@ from helpers import closed_form_gdd_balance, hamming_weight_enumerator
 from witness import balance_step
 
 
+def weights(m: int) -> list[int]:
+    """b_0 .. b_v of the Hamming code of length v = 2^m - 1: the b column of
+    `parameter_rows` (k = 2 .. v - 2) between the code's end values b_0 = 1,
+    b_1 = 0 and b_{v-1} = 0, b_v = 1."""
+    return [1, 0, *(b for _, b, _, _, _ in parameter_rows(m)), 0, 1]
+
+
 class TestWeightCounts:
     def test_small_field_exact(self):
-        assert hamming_weight_counts(3, 7) == [1, 0, 0, 7, 7, 0, 0, 1]
+        assert weights(3) == [1, 0, 0, 7, 7, 0, 0, 1]
+        # The column view that perfbench/traced.py wraps.
+        assert hamming_weight_counts(3) == {2: 0, 3: 7, 4: 7, 5: 0}
 
     def test_m4_low_rows(self):
-        b = hamming_weight_counts(4, 15)
+        b = weights(4)
         assert b[3] == 35
         assert b[4] == 105
         assert b[5] == 168
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_palindrome(self, m):
-        v = 2**m - 1
-        b = hamming_weight_counts(m, v)
+        b = weights(m)
         assert b == b[::-1]
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_total_count_is_the_code_size(self, m):
         v = 2**m - 1
-        assert sum(hamming_weight_counts(m, v)) == 2 ** (v - m)
+        assert sum(weights(m)) == 2 ** (v - m)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_nonnegative(self, m):
-        assert all(x >= 0 for x in hamming_weight_counts(m, 2**m - 1))
+        assert all(x >= 0 for x in weights(m))
 
     @pytest.mark.parametrize("m", range(3, 7))
     def test_every_design_size_is_nonempty(self, m):
-        b = hamming_weight_counts(m, 2**m - 1)
+        b = weights(m)
         assert all(b[k] > 0 for k in range(3, 2**m - 3))
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_matches_the_closed_form_enumerator(self, m):
-        assert hamming_weight_counts(m, 2**m - 1) == hamming_weight_enumerator(m)
+        assert weights(m) == hamming_weight_enumerator(m)
 
     @pytest.mark.parametrize("m", range(3, 7))
     def test_every_k_max_is_a_prefix(self, m):
-        v = 2**m - 1
-        full = hamming_weight_counts(m, v)
-        assert all(hamming_weight_counts(m, k_max) == full[: k_max + 1] for k_max in range(v + 1))
-
-    def test_k_max_out_of_range(self):
-        with pytest.raises(RangeError):
-            hamming_weight_counts(3, 8)
+        # A consumer that stops at any k (params --k, crosscheck) is given
+        # the first rows of the whole table.
+        full = list(parameter_rows(m))
+        assert all(list(islice(parameter_rows(m), n)) == full[:n] for n in range(len(full) + 1))
 
 
 class TestReplicationNumbers:
@@ -80,7 +86,7 @@ class TestReplicationNumbers:
         # produce it lands on the same zero.
         top = 2**m - 3
         r = replication_numbers(m)
-        b = hamming_weight_counts(m, top)
+        b = weights(m)
         k = top - 1
         step = b[k] - r[k]
         if k % 4 == 2:
@@ -129,7 +135,7 @@ class TestBalanceParameters:
     @pytest.mark.parametrize("m", range(3, 7))
     def test_double_counting_identities_per_row(self, m):
         v = 2**m - 1
-        b = hamming_weight_counts(m, 2**m - 3)
+        b = weights(m)
         r = replication_numbers(m)
         lam = balance_parameters(m)
         for k in range(3, 2**m - 3):
@@ -160,11 +166,17 @@ class TestGddBalanceParameters:
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("m", range(4, 9))
+    @pytest.mark.parametrize("m", range(3, 11))
     def test_balance_matches_recurrence(self, m):
         lam = balance_parameters(m)
-        for k in range(3, 8):
-            assert closed_form_balance(m, k) == lam[k]
+        for k in range(3, 2**m - 3):
+            assert closed_form_balance(m, k) == lam[k], k
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("k", [2, "top", 4.0, "4", None])
+    def test_balance_refuses_a_size_outside_the_designs(self, m, k):
+        with pytest.raises(RangeError, match="block size must be in"):
+            closed_form_balance(m, 2**m - 3 if k == "top" else k)
 
     @pytest.mark.parametrize("m", range(4, 9))
     def test_gdd_balance_matches_recurrence(self, m):
@@ -211,7 +223,7 @@ class TestParamTable:
     @pytest.mark.parametrize("m", range(3, 9))
     def test_values_are_ints(self, m):
         assert all(type(x) is int for row in parameter_rows(m) for x in row)
-        assert all(type(x) is int for x in hamming_weight_counts(m, 2**m - 1))
+        assert all(type(x) is int for x in hamming_weight_counts(m).values())
 
     def test_consistency_error_is_reachable(self):
         with pytest.raises(ConsistencyError):

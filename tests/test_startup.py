@@ -81,7 +81,7 @@ HOMES = {
         "RangeError", "ShapeError", "StateError",
     ),
     "field": ("DEFAULT_NODE_BUDGET", "cosets_of", "nonzero_elements"),
-    "params": ("closed_form_balance", "hamming_weight_counts", "parameter_rows", "reference_gdd_balance"),
+    "params": ("closed_form_balance", "parameter_rows", "reference_gdd_balance"),
 }
 
 
