@@ -14,9 +14,9 @@ A family is held packed: one bytes buffer of k fixed-width lanes per block
 membership rule is checked on those lanes: a chunk of blocks becomes k
 column ints with one lane per block, and each fact of the rule is a few
 big-int operations over every lane at once (see `_Rule`). The lifted
-family is built in the same columns, then sorted as runs merged by first
-point or, for the verifier, laid out in the order it is made (see
-`lift_blocks`). Everything here is pure and immutable.
+family is made in the same columns, as checked chunks that the verifier
+reads as they come (see `lift_chunks`) or that are sorted as runs merged
+by first point (see `_merged`). Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -325,11 +325,10 @@ class BlockFamily:
     points of every block in turn, each an unsigned big-endian lane of
     `lane_size` bytes (one while 2^m <= 128, else four), blocks in the
     order given. Every enumerator gives them sorted, which with lanes of
-    one width is also the order of their bytes, except the lift laid out
-    for the verifier (`gdd_blocks(..., ordered=False)`), which is in the
-    order it is made. `column(j)` decodes point j of every block into
-    ints, the view the verifier reads one column at a time, and iteration
-    zips the columns into block tuples at C speed.
+    one width is also the order of their bytes. `column(j)` decodes point
+    j of every block into ints, the view the verifier reads one column at
+    a time (as it reads each chunk of `lift_chunks`), and iteration zips
+    the columns into block tuples at C speed.
 
     Construction re-checks every member against the family's rule, so a
     BlockFamily in hand is always internally consistent. The check reads
@@ -606,18 +605,14 @@ def shift_invariant_blocks(m: int, k: int, alpha: int, budget: int = DEFAULT_NOD
     return _enumerated(BlockFamily._from_lanes, "L", m, k, lanes, alpha=alpha)
 
 
-def gdd_blocks(
-    ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET, ordered: bool = True
-) -> BlockFamily:
-    """Blocks of the lifted design in GF(2^ambient_exp).
+def gdd_chunks(ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[_Columns]:
+    """The blocks of `gdd_blocks`, as the checked chunks of columns that
+    `lift_chunks` yields, in the order they are made.
 
-    k-subsets of the field minus {0, alpha} that XOR to alpha and touch
-    each coset {x, x + alpha} at most once (equivalently, the block and
-    its shift by alpha are disjoint).
-
-    Built as the lift (`lift_blocks`) of the zero-sum family one exponent
-    down. The budget is charged one node per node of that family's search
-    plus one per lifted block, each part before the blocks it counts.
+    The lifted design in GF(2^ambient_exp) is the lift of the zero-sum
+    family one exponent down. The budget is charged one node per node of
+    that family's search plus one per lifted block, each part before the
+    blocks it counts.
     """
     check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
     check_shift(alpha, ambient_exp)
@@ -626,89 +621,149 @@ def gdd_blocks(
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
     lanes = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud, _lane_size(m))
     base = _enumerated(BlockFamily._from_lanes, "W", m, k, lanes)
-    return lift_blocks(base, alpha, budget, ordered)
+    return lift_chunks(base, alpha, budget)
 
 
-def lift_blocks(
-    base: BlockFamily, alpha: int, budget: int = DEFAULT_NODE_BUDGET, ordered: bool = True
-) -> BlockFamily:
+def gdd_blocks(ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockFamily:
+    """Blocks of the lifted design in GF(2^ambient_exp), sorted.
+
+    k-subsets of the field minus {0, alpha} that XOR to alpha and touch
+    each coset {x, x + alpha} at most once (equivalently, the block and
+    its shift by alpha are disjoint): `gdd_chunks` merged (see `_merged`).
+    """
+    return _merged(gdd_chunks(ambient_exp, k, alpha, budget), ambient_exp, k, alpha)
+
+
+def lift_blocks(base: BlockFamily, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockFamily:
+    """The blocks of the lifted design over `base`, sorted: `lift_chunks`
+    merged (see `_merged`)."""
+    return _merged(lift_chunks(base, alpha, budget), base.m + 1, base.k, alpha)
+
+
+class _Columns:
+    """n blocks of k points held as k column ints, as `_columns` makes
+    them (block 0 in the top lane), read as the verifier reads a family:
+    `k`, len() and `column(j)`; `points` only to name a bad block."""
+
+    __slots__ = ("cols", "k", "n", "size")
+
+    def __init__(self, cols: list[int], n: int, size: int):
+        self.cols, self.k, self.n, self.size = cols, len(cols), n, size
+
+    def __len__(self) -> int:
+        return self.n
+
+    def column(self, j: int):
+        """Point j of every block in turn, as `BlockFamily.column` gives it."""
+        return _unpack(self.cols[j].to_bytes(self.n * self.size, "big"), self.size)
+
+    @property
+    def points(self):
+        return _unpack(_interleave(self.cols, self.n, self.size), self.size)
+
+
+def lift_chunks(base: BlockFamily, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[_Columns]:
     """The blocks of the lifted design in GF(2^(m+1)) over `base`, zero-sum
-    blocks of GF(2^m): all of them if `base` is the zero-sum family.
+    blocks of GF(2^m) (all of them if `base` is the zero-sum family), as
+    chunks of at most `_CHUNK` blocks, each checked against the U rule.
 
     The quotient map by {0, alpha} sends a lifted block onto a zero-sum
     k-block; an additive section of that map (`field.section`) sends each
     zero-sum block back to k points that XOR to 0, one per coset. Shifting
     an odd number of them by alpha gives the 2^(k-1) blocks over it. Those
     are every choice of one point per coset that XORs to alpha, so the
-    output does not depend on which section is used. A fresh budget, named
+    blocks do not depend on which section is used. A fresh budget, named
     as in `gdd_blocks`, is charged the search for `base` in closed form
-    plus one node per lifted block, before any is built.
+    plus one node per lifted block, now, before any chunk is made.
 
     The lift runs on lanes, `_CHUNK` bases at a time: the sections of the
     bases' lanes (one `bytes.translate` while both lanes are a byte)
-    become k column ints, each choice of shifts XORs alpha into its
-    columns (the last by parity), and a sorting network sorts every
-    block's points across the columns (`_sort_lanes`). If `ordered`
-    (the default; `enumerate` and `export` use it), each (chunk, choice)
-    is packed, cut into its blocks' bytes keys by one `struct.Struct`
-    unpack, in C, and sorted into a run. The runs are merged a first point
-    at a time: the blocks that start with p form a slice of each run, so
-    the lift holds the runs, the merged lanes and one such bucket's keys,
-    not a key object per block. Otherwise the blocks come as they are
-    made, base-major: base i's 2^(k-1) lifts in choice order, the bases
-    in the order of `base`. Each column is written straight into its
-    lanes, so no block has a key. The pair sweep reads blocks in any
-    order, so `verify-gdd` and `crosscheck --gdd` verify the lift as made.
+    become k column ints. The 2^(k-1) choices of shifts are taken as many
+    at a time as fit a chunk: each column of a chunk is that column of the
+    bases once per choice, XORed with alpha where the choice shifts it
+    (the last by parity), so a chunk is choice-major, and a sorting network
+    sorts every block's points across the columns (`_sort_lanes`). Each
+    chunk is then checked on its columns (`_Rule.first_bad`), and a bad
+    block raises ConsistencyError.
     """
     k, ambient_exp = base.k, base.m + 1
-    table = section(alpha, ambient_exp)
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
     bud.spend(_search_nodes((1 << base.m) - 1, k) + (len(base) << (k - 1)))
+    return _lift(base, alpha)
+
+
+def _lift(base: BlockFamily, alpha: int) -> Iterator[_Columns]:
+    """The body of `lift_chunks`, run as its chunks are asked for."""
+    k, ambient_exp = base.k, base.m + 1
+    table = section(alpha, ambient_exp)
     size, choices = _lane_size(ambient_exp), 1 << (k - 1)
+    width, rule, pairs = 8 * size, _Rule("U", ambient_exp, k, alpha, None), _sorting_network(k)
     lifted = (base.lanes.translate(bytes(table).ljust(256, b"\0")) if size == 1
               else _pack(map(table.__getitem__, base.points), size))
-    pairs, step, runs = _sorting_network(k), k * size, []
-    total = 0 if ordered else len(lifted) * choices  # bytes of the base-major lanes
-    laid = bytearray(total) if size == 1 else array("I", bytes(total))
+    del base  # the caller's to keep or to drop
+    step = k * size
     for start in range(0, len(lifted), _CHUNK * step):
-        chunk = lifted[start : start + _CHUNK * step]
-        n = len(chunk) // step
-        *head, last = _columns(chunk, k, size)
-        shift = _ones(n, 8 * size) * alpha
-        cut = Struct(f"{step}s" * n) if ordered else None  # n keys of a buffer, cut in C
-        for choice in range(choices):
-            # Shift the points of the set bits of `choice`, and the last
+        n = min(_CHUNK, len(lifted) // step - start // step)
+        shift = _ones(n, width) * alpha
+        # Each column's lanes as they are and shifted by alpha.
+        both = [(c.to_bytes(n * size, "big"), (c ^ shift).to_bytes(n * size, "big"))
+                for c in _columns(lifted[start : start + n * step], k, size)]
+        per = max(1, _CHUNK // n)
+        for first in range(0, choices, per):
+            group = range(first, min(choices, first + per))
+            # Shift the points of the set bits of a choice, and the last
             # point iff that leaves an even number shifted.
-            cols = [c ^ shift if choice >> j & 1 else c for j, c in enumerate(head)]
-            cols.append(last if choice.bit_count() & 1 else last ^ shift)
-            _sort_lanes(cols, pairs, n, 8 * size)
-            if ordered:
-                runs.append(b"".join(sorted(cut.unpack(_interleave(cols, n, size)))))
-                continue
-            # Lane (i * choices + choice) * k + j holds point j of base i's lift `choice`.
-            for j, c in enumerate(cols, (start // step * choices + choice) * k):
-                c = c.to_bytes(n * size, "big")
-                laid[j : j + n * choices * k : choices * k] = c if size == 1 else array("I", c)
-        del cut
-    if ordered:
-        # Merge the runs a first point at a time: each run's blocks that
-        # start with p are one slice, found by bisection on its first points.
-        firsts = [run[::step] if size == 1 else _unpack(run, size)[::k] for run in runs]
-        ends, laid = [0] * len(runs), bytearray()
-        for p in range(1, 1 << ambient_exp):
-            parts = []
-            for r, run in enumerate(runs):
-                lo, hi = ends[r], bisect_right(firsts[r], p, ends[r])
-                if hi > lo:
-                    parts.append(run[lo * step : hi * step])
-                    ends[r] = hi
-            if len(parts) > 1:  # timsort merges the sorted slices
-                bucket = b"".join(parts)
-                parts = sorted(Struct(f"{step}s" * (len(bucket) // step)).unpack(bucket))
-            laid += b"".join(parts)
-        del runs, firsts
-    lanes, laid = bytes(laid), None  # the check runs with one copy of the lanes
-    return _enumerated(BlockFamily._from_lanes, "U", ambient_exp, k, lanes, alpha=alpha)
+            cols = [int.from_bytes(b"".join([lanes[c >> j & 1] for c in group]), "big")
+                    for j, lanes in enumerate(both[:-1])]
+            cols.append(int.from_bytes(b"".join([both[-1][1 ^ c.bit_count() & 1] for c in group]), "big"))
+            count = n * len(group)
+            _sort_lanes(cols, pairs, count, width)
+            bad = rule.first_bad(cols, count)
+            if bad is not None:
+                low = (count - 1 - bad) * width
+                block = tuple(c >> low & (1 << width) - 1 for c in cols)
+                raise ConsistencyError(f"enumerated {_block_error(block, 'U')}")
+            yield _Columns(cols, count, size)
+
+
+def _merged(chunks, ambient_exp: int, k: int, alpha: int) -> BlockFamily:
+    """The family U of the blocks of `chunks`, sorted.
+
+    Each chunk is packed, cut into its blocks' bytes keys by one
+    `struct.Struct` unpack, in C, and sorted into a run. The runs are
+    merged a first point at a time: the blocks that start with p form a
+    slice of each run, so the merge holds the runs, the merged lanes and
+    one such bucket's keys, not a key object per block. A lift of at most
+    `_CHUNK` blocks is one run, so no bucket of it is re-sorted.
+    """
+    size = _lane_size(ambient_exp)
+    step, runs, cuts = k * size, [], {}
+    for chunk in chunks:
+        n = len(chunk)
+        cut = cuts.get(n) or cuts.setdefault(n, Struct(f"{step}s" * n))  # n keys of a buffer, cut in C
+        runs.append(b"".join(sorted(cut.unpack(_interleave(chunk.cols, n, size)))))
+    del cuts
+    # Each run's blocks that start with p are one slice, found by
+    # bisection on its first points.
+    firsts = [run[::step] if size == 1 else _unpack(run, size)[::k] for run in runs]
+    ends, laid = [0] * len(runs), bytearray()
+    for p in range(1, 1 << ambient_exp):
+        parts = []
+        for r, run in enumerate(runs):
+            lo, hi = ends[r], bisect_right(firsts[r], p, ends[r])
+            if hi > lo:
+                parts.append(run[lo * step : hi * step])
+                ends[r] = hi
+        if len(parts) > 1:  # timsort merges the sorted slices
+            bucket = b"".join(parts)
+            parts = sorted(Struct(f"{step}s" * (len(bucket) // step)).unpack(bucket))
+        laid += b"".join(parts)
+    del runs, firsts
+    # Every block passed the rule in its chunk, and the merge moves whole
+    # blocks, so the family is not checked again.
+    family = BlockFamily.__new__(BlockFamily)
+    family._fill("U", ambient_exp, k, bytes(laid), alpha, None, len(laid) // step)
+    return family
 
 
 def gdd_groups(ambient_exp: int, alpha: int) -> BlockFamily:

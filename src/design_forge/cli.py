@@ -311,7 +311,8 @@ def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
 
 def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, groups_path=None, base=None):
     """The report on the design lifted to GF(2^(m+1)) for alpha: its groups,
-    then its blocks, each derived (lifted from `base` if given) or read."""
+    then its blocks, each derived (lifted from `base` if given, and swept a
+    chunk at a time as the lift makes them) or read."""
     if not (blocks_path and groups_path):  # a family is made, not only read
         from . import blocks
     from . import designs
@@ -326,9 +327,9 @@ def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, group
     if blocks_path:
         block_list = _read_jsonl_blocks(blocks_path, ambient, k, "U", alpha)
     elif base is None:
-        block_list = blocks.gdd_blocks(ambient, k, alpha, budget, ordered=False)
+        block_list = blocks.gdd_chunks(ambient, k, alpha, budget)
     else:
-        block_list = blocks.lift_blocks(base, alpha, budget, ordered=False)
+        block_list = blocks.lift_chunks(base, alpha, budget)
     return designs.verify_gdd(points, group_list, block_list)
 
 

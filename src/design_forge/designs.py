@@ -14,12 +14,16 @@ from columns of point indices (see `_indices`): a packed collection (a
 BlockFamily, or the cli's ingest of an exported file) gives one column of
 points at a time, so bitsets are built a column at a time, by bit planes
 (see `_bitset_incidence`), and the index form keeps only its k index
-columns; any other iterable of items, such as tuples, is chained. Each
-form flags the first item with a repeated or outside point, and that
-item is re-read and checked here for its size, a repeated point and a
-point outside the point set. Reports keep the full
-histograms so near-misses stay diagnosable, and the first counterexample
-is deterministic (smallest failing pair in lexicographic order).
+columns; any other iterable of items, such as tuples, is chained.
+Blocks may also come as an iterable of packed chunks, such as the lift
+a chunk at a time, and both forms' state is a sum over the chunks (see
+`_block_incidence`): the bitset form holds one chunk's bitsets and the
+summed pair counts, not the blocks. Each form flags the first item with
+a repeated or outside point, and that item is re-read and checked here
+for its size, a repeated point and a point outside the point set.
+Reports keep the full histograms so near-misses stay diagnosable, and
+the first counterexample is deterministic (smallest failing pair in
+lexicographic order).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
-from operator import or_
+from itertools import chain, islice, repeat
+from operator import add, or_
 
 from .errors import (
     ConsistencyError,
@@ -198,49 +202,93 @@ def _bitset_incidence(column, size: int, v: int, fail) -> list[int]:
     return rows
 
 
-def _index_incidence(cols: list, v: int, fail) -> list:
-    """rows, rows[i] an array of the items that hold index i, from the
-    index columns of the items. The first item that holds index v, or one
-    index twice (it shows up twice in that index's row), fails."""
-    rows = [array("I") for _ in range(v + 1)]
+def _index_incidence(rows: list, cols: list, start: int, fail) -> None:
+    """Append to rows[i], an array per index and one for index v, the
+    items of the index columns `cols` that hold index i, numbered from
+    `start`. The first of those items that holds index v, or one index
+    twice (it shows up twice in that index's row), fails."""
+    marks = list(map(len, rows))
     for col in cols:
-        for j, x in enumerate(col):
+        for j, x in enumerate(col, start):
             rows[x].append(j)
-    bad = [*rows.pop(), *(min(j for j, n in Counter(row).items() if n > 1)
-                          for row in rows if len(set(row)) < len(row))]
+    added = (row[mark:] if mark else row for row, mark in zip(rows[:-1], marks))
+    bad = [*rows[-1], *(min(j for j, n in Counter(new).items() if n > 1)
+                        for new in added if len(set(new)) < len(new))]
     if bad:
-        fail(min(bad))
-    return rows
+        fail(min(bad) - start)
+
+
+def _chunks(blocks):
+    """The collections that `blocks` is read as, in turn: itself if it is
+    packed or a list or tuple of items, the nonempty chunks it yields if
+    its first item is packed, else a list of its items. Packed means
+    having `k`, len() and `column(j)`, as a family has."""
+    if hasattr(blocks, "column"):
+        return [blocks]
+    items = iter(blocks)
+    first = next(items, items)  # items itself if there is none
+    if hasattr(first, "column"):
+        return filter(len, chain([first], items))
+    if isinstance(blocks, (list, tuple)):
+        return [blocks]
+    return [[] if first is items else [first, *items]]
 
 
 def _block_incidence(blocks, index: dict):
     """Returns (b, k, r histogram, coverage rows) after the block checks.
 
-    Row a of the coverage rows, made when the sweep reaches it, lists
-    the coverage of the pairs (a, c) for c > a in order.
+    The blocks are read a collection at a time (see `_chunks`), and each
+    form's state is summed over them. In the bitset form a chunk's v
+    bitsets give its r counts and its C(v, 2) pair counts, added into one
+    flat list, so the state does not grow with b. The index form gathers
+    every chunk's index columns and rows. Row a of the coverage rows, made
+    when the sweep reaches it, lists the coverage of the pairs (a, c) for
+    c > a in order.
     """
-    column, b, k, fail = _indices(blocks, index, "block", ShapeError,
-                                  "cannot verify an empty block collection",
-                                  "blocks must have at least two points")
-    v = len(index)
-    packed = v <= _BITSET_MAX_V_PER_K * k
+    empty = "cannot verify an empty block collection"
+    v, b, k = len(index), 0, None
+    for chunk in _chunks(blocks):
+        column, n, size, fail = _indices(chunk, index, "block", ShapeError, empty,
+                                         "blocks must have at least two points")
+        if k is None:
+            k, r, pairs, cols = size, None, None, None
+            packed = v <= _BITSET_MAX_V_PER_K * k
+            rows = None if packed else [array("I") for _ in range(v + 1)]
+        elif size != k:
+            raise ShapeError(f"expected uniform block size {k}, found {size}")
+        if packed:
+            inc = _bitset_incidence(column, k, v, fail)
+            counts = [(row & other).bit_count() for a, row in enumerate(inc) for other in inc[a + 1 :]]
+            pairs = counts if pairs is None else list(map(add, pairs, counts))
+            counts = list(map(int.bit_count, inc))
+            r = counts if r is None else list(map(add, r, counts))
+            inc = counts = None
+        else:
+            new = [column(c) for c in range(k)]
+            _index_incidence(rows, new, b, fail)
+            if cols is None:
+                cols = new
+            else:  # bytes while v < 256, else array("I"): both take +=
+                cols = [bytearray(col) if type(col) is bytes else col for col in cols]
+                for col, more in zip(cols, new):
+                    col += more
+        b += n
+        chunk = column = fail = None  # dropped before the next chunk is made
+    if not b:
+        raise ShapeError(empty)
     if packed:
-        inc = _bitset_incidence(column, k, v, fail)
-        rows = (
-            [(row & other).bit_count() for other in inc[a + 1:]]
-            for a, row in enumerate(inc)
-        )
+        flat = iter(pairs)
+        rows = (islice(flat, v - 1 - a) for a in range(v))
     else:
+        rows.pop()
+        r = map(len, rows)
         # Row a: how often each later index turns up in the blocks of a.
-        cols = [column(c) for c in range(k)]
-        inc = _index_incidence(cols, v, fail)
         rows = (
             map(Counter(chain.from_iterable(map(col.__getitem__, row) for col in cols)).get,
                 range(a + 1, v), repeat(0))
-            for a, row in enumerate(inc)
+            for a, row in enumerate(rows)
         )
-    r_counts = Counter(map(int.bit_count if packed else len, inc))
-    return b, k, dict(sorted(r_counts.items())), rows
+    return b, k, dict(sorted(Counter(r).items())), rows
 
 
 def _sweep(pts: list, rows, ginc: list[int]):
@@ -273,7 +321,8 @@ def _sweep(pts: list, rows, ginc: list[int]):
 def verify_bibd(points, blocks) -> DesignReport:
     """Sweep every pair of points and require constant coverage.
 
-    Accepts a BlockFamily or any iterable of blocks. Nonuniform block sizes
+    Accepts a BlockFamily, any iterable of blocks, or an iterable of
+    packed chunks of blocks (see `_chunks`). Nonuniform block sizes
     raise ShapeError and stray points raise ContainmentError; balance
     failures do not raise, they come back as a failing report whose
     counterexample is the smallest pair disagreeing with the first pair's

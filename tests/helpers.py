@@ -22,6 +22,13 @@ def xor_sum(items) -> int:
     return reduce(lambda a, b: a ^ b, items, 0)
 
 
+def made_blocks(chunks) -> list[tuple[int, ...]]:
+    """The blocks of a stream of packed chunks (`blocks.lift_chunks`), in
+    the order they are made, read a column at a time as the verifier reads
+    them."""
+    return [b for c in chunks for b in zip(*map(c.column, range(c.k)))]
+
+
 def brute_xor_subsets(ground, k: int, target: int) -> list[tuple[int, ...]]:
     """Every k-subset of `ground`, sorted ascending, whose XOR is `target`,
     as tuples in lexicographic order."""

@@ -18,6 +18,7 @@ from design_forge.blocks import (
     BlockFamily,
     family_predicate,
     gdd_blocks,
+    gdd_chunks,
     gdd_groups,
     shift_invariant_blocks,
     sum_to_shift_blocks,
@@ -43,6 +44,7 @@ from helpers import (
     brute_zero_sum,
     brute_zero_sum_containing,
     hamming_weight_count,
+    made_blocks,
     xor_sum,
 )
 from witness import (
@@ -366,58 +368,67 @@ class TestGddBlocks:
         for k in (3, 4):
             expected = brute_gdd_blocks(5, k, alpha)
             assert list(gdd_blocks(5, k, alpha)) == expected
-            assert sorted(gdd_blocks(5, k, alpha, ordered=False)) == expected
+            assert sorted(made_blocks(gdd_chunks(5, k, alpha))) == expected
 
     @pytest.mark.parametrize("alpha", [1, 9, 30])
     def test_ambient_32_spot_matches_brute_force(self, alpha):
         for k in (4, 5):
             expected = brute_gdd_blocks(5, k, alpha)
             assert list(gdd_blocks(5, k, alpha)) == expected
-            assert sorted(gdd_blocks(5, k, alpha, ordered=False)) == expected
+            assert sorted(made_blocks(gdd_chunks(5, k, alpha))) == expected
 
     @pytest.mark.parametrize("k, alpha", [(k, a) for k in (3, 4, 5) for a in (1, 6, 19, 31)])
     def test_many_sorted_runs_merge_exactly(self, monkeypatch, k, alpha):
-        """Chunks of 1, 3 and 64 bases make a sorted run per chunk and
-        choice, so most first points have blocks in several runs; laid
-        out as made, they are the same blocks."""
+        """Chunks of 1, 3 and 64 blocks make a sorted run each, so most
+        first points have blocks in several runs; as made, they are the
+        same blocks."""
         expected = brute_gdd_blocks(5, k, alpha)
         for chunk in (1, 3, 64):
             monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
             assert list(gdd_blocks(5, k, alpha)) == expected
-            assert sorted(gdd_blocks(5, k, alpha, ordered=False)) == expected
+            assert sorted(made_blocks(gdd_chunks(5, k, alpha))) == expected
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_many_sorted_runs_merge_exactly_in_wide_lanes(self, monkeypatch, chunk):
         expected = gdd_blocks(8, 3, 129)
         monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
         assert gdd_blocks(8, 3, 129).lanes == expected.lanes
-        assert sorted(gdd_blocks(8, 3, 129, ordered=False)) == list(expected)
+        assert sorted(made_blocks(gdd_chunks(8, 3, 129))) == list(expected)
 
     def test_the_lift_holds_one_bucket_of_keys_at_a_time(self):
         """722,176 blocks: 4.1 MiB of lanes, ~42 MiB had every block a key."""
         assert _traced_peak(lambda: gdd_blocks(6, 6, 1)) < 20 * 2**20
 
     def test_the_made_order_holds_no_key_per_block(self):
-        assert _traced_peak(lambda: gdd_blocks(6, 6, 1, ordered=False)) < 20 * 2**20
+        """The stream holds one chunk's columns at a time: 722,176 blocks
+        or 5,287,360, made and dropped a chunk at a time, in ~1 MiB."""
+        for k in (6, 7):
+            assert _traced_peak(lambda: sum(map(len, gdd_chunks(6, k, 1)))) < 4 * 2**20
 
     # An alpha with each top bit: the section inserts its zero bit there.
     @pytest.mark.parametrize("ambient, k, alpha", [(6, k, a) for k in (4, 5) for a in (1, 2, 7, 12, 21, 47)] + [(6, 6, 33)])
     def test_the_made_order_sorts_to_the_ordered_one(self, ambient, k, alpha):
-        assert sorted(gdd_blocks(ambient, k, alpha, ordered=False)) == list(gdd_blocks(ambient, k, alpha))
+        assert sorted(made_blocks(gdd_chunks(ambient, k, alpha))) == list(gdd_blocks(ambient, k, alpha))
 
     @pytest.mark.parametrize("chunk", [3, blocks_module._CHUNK])
     @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 6), (6, 5, 47), (8, 3, 129)])
-    def test_the_made_order_is_base_major(self, monkeypatch, chunk, ambient, k, alpha):
-        """Each run of 2^(k - 1) blocks is the lift of one base: it meets
-        the same k cosets of {0, alpha}, and the bases ascend."""
+    def test_the_stream_is_the_family_in_chunks(self, monkeypatch, chunk, ambient, k, alpha):
+        """Each chunk holds at most `_CHUNK` blocks: the lifts of one run of
+        bases, one choice of shifts after another, each run meeting the
+        same cosets of {0, alpha} in the same order. The runs ascend, and
+        the blocks sort to the family."""
+        family = list(gdd_blocks(ambient, k, alpha))
         monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
-        made, lifts = list(gdd_blocks(ambient, k, alpha, ordered=False)), 1 << (k - 1)
-        bases = []
-        for i in range(0, len(made), lifts):
-            run = made[i : i + lifts]
-            cosets = {tuple(sorted(quotient(x, alpha, ambient) for x in b)) for b in run}
-            assert len(cosets) == 1 and len(set(run)) == lifts
-            bases += cosets
+        made, bases = [], []
+        for c in gdd_chunks(ambient, k, alpha):
+            blocks = made_blocks([c])
+            cosets = [tuple(sorted(quotient(x, alpha, ambient) for x in b)) for b in blocks]
+            n = len(set(cosets))
+            assert 0 < len(blocks) <= chunk and cosets == cosets[:n] * (len(blocks) // n)
+            if bases[-n:] != cosets[:n]:
+                bases += cosets[:n]
+            made += blocks
+        assert sorted(made) == family
         assert bases == list(zero_sum_blocks(ambient - 1, k))
 
     def test_budget_exceeded_names_the_bound(self):
@@ -651,7 +662,7 @@ class TestFamilyPlumbing:
 
     @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 7), (8, 3, 129)], ids=["bytes", "wide"])
     def test_membership_of_the_lift_as_made(self, ambient, k, alpha):
-        made = gdd_blocks(ambient, k, alpha, ordered=False)
+        made = BlockFamily("U", ambient, k, made_blocks(gdd_chunks(ambient, k, alpha)), alpha=alpha)
         members = set(gdd_blocks(ambient, k, alpha))
         assert all(b in made for b in members)
         ground = range(1, 2**ambient) if ambient < 8 else range(1, 24)

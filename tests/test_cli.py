@@ -353,15 +353,16 @@ class TestCrosscheck:
         ]
 
     def test_unbalanced_lifted_design_exits_1(self, monkeypatch, capsys):
-        real = blocks.lift_blocks
+        real = blocks.lift_chunks
 
-        def short(base, alpha, budget, **layout):
-            family = real(base, alpha, budget, **layout)
+        def short(base, alpha, budget):
+            chunks = real(base, alpha, budget)
             if alpha != 1:
-                return family
-            return blocks.BlockFamily(family.kind, family.m, family.k, tuple(family)[1:], alpha=alpha)
+                return chunks
+            made = [b for c in chunks for b in zip(*map(c.column, range(c.k)))]
+            return [blocks.BlockFamily("U", base.m + 1, base.k, made[1:], alpha=alpha)]
 
-        monkeypatch.setattr(blocks, "lift_blocks", short)
+        monkeypatch.setattr(blocks, "lift_chunks", short)
         assert cli.main(["crosscheck", "--m", "3", "--k", "3", "--gdd"]) == 1
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == [
@@ -950,6 +951,27 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == (
             "error: internal: ConsistencyError: enumerated block (8, 2, 4, 7) is not strictly increasing\n"
+        )
+
+    def test_a_bad_block_in_a_later_chunk_exits_4(self, monkeypatch, capsys):
+        # The lift at --m 5 --k 6 is 16 chunks of two choices each; the
+        # third chunk is left unsorted, so its first block, the base
+        # (1, 2, 3, 4, 8, 12) with its third point shifted by 33, fails
+        # once two chunks have been swept.
+        real, calls = blocks._sort_lanes, []
+
+        def sort_but_the_third(*args):
+            calls.append(len(calls))
+            if len(calls) != 3:
+                real(*args)
+
+        monkeypatch.setattr(blocks, "_sort_lanes", sort_but_the_third)
+        assert cli.main(["verify-gdd", "--m", "5", "--k", "6", "--alpha", "33"]) == 4
+        captured = capsys.readouterr()
+        assert len(calls) == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal: ConsistencyError: enumerated block (1, 2, 34, 4, 8, 12) is not strictly increasing\n"
         )
 
     def test_in_process_main_matches_subprocess_contract(self, capsys):

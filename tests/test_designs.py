@@ -10,8 +10,9 @@ from itertools import combinations
 
 import pytest
 
+import design_forge.blocks as blocks_module
 from design_forge import cli, designs
-from design_forge.blocks import gdd_blocks, gdd_groups, zero_sum_blocks
+from design_forge.blocks import BlockFamily, gdd_blocks, gdd_chunks, gdd_groups, zero_sum_blocks
 from design_forge.designs import (
     GddReport,
     observed_params,
@@ -24,7 +25,7 @@ from design_forge.errors import (
     ShapeError,
     StateError,
 )
-from helpers import pair_coverage
+from helpers import made_blocks, pair_coverage
 
 
 def lifted_points(ambient, alpha):
@@ -222,8 +223,8 @@ class TestVerifyGdd:
 
 
 class TestLiftOrder:
-    """verify-gdd verifies the lift in the order it is made; the report is
-    the one on the lexicographic family."""
+    """verify-gdd verifies the lift a chunk at a time, in the order it is
+    made; the report is the one on the lexicographic family."""
 
     @pytest.mark.parametrize(
         "ambient, k, alpha",
@@ -234,16 +235,74 @@ class TestLiftOrder:
     )
     def test_the_report_does_not_depend_on_the_order(self, ambient, k, alpha):
         points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
-        made = verify_gdd(points, groups, gdd_blocks(ambient, k, alpha, ordered=False))
+        made = verify_gdd(points, groups, gdd_chunks(ambient, k, alpha))
         assert made == verify_gdd(points, groups, gdd_blocks(ambient, k, alpha))
         assert made.passed
 
     @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 19), (6, 3, 37)])
     def test_either_incidence_form_reads_the_made_order(self, incidence_form, ambient, k, alpha):
         points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
-        made = tuple(gdd_blocks(ambient, k, alpha, ordered=False))
+        made = tuple(made_blocks(gdd_chunks(ambient, k, alpha)))
         for blocks in (made, made[1:]):
             assert verify_gdd(points, groups, blocks) == verify_gdd(points, groups, sorted(blocks))
+
+    @pytest.mark.parametrize("ambient, k, alpha", [(4, 3, 1), (5, 4, 19), (6, 3, 37), (6, 5, 6)])
+    def test_chunks_of_three_report_as_the_family(self, monkeypatch, incidence_form, ambient, k, alpha):
+        """With `_CHUNK` at 3 every chunk's counts are summed into the
+        report; a short stream fails as the short family does, with the
+        same counterexample."""
+        points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
+        family = gdd_blocks(ambient, k, alpha)
+        monkeypatch.setattr(blocks_module, "_CHUNK", 3)
+        assert verify_gdd(points, groups, gdd_chunks(ambient, k, alpha)) == verify_gdd(points, groups, family)
+        made = made_blocks(gdd_chunks(ambient, k, alpha))[1:]
+        short = [BlockFamily("U", ambient, k, made[i : i + 3], alpha=alpha) for i in range(0, len(made), 3)]
+        report = verify_gdd(points, groups, short)
+        assert not report.passed
+        assert report == verify_gdd(points, groups, sorted(made))
+        assert verify_bibd(points, short) == verify_bibd(points, sorted(made))
+
+    def test_a_stream_reads_a_chunk_at_a_time(self):
+        """Chunks of any packed kind, empty ones skipped; one of another size
+        raises, and a stream of no block is empty."""
+        fam = zero_sum_blocks(4, 4)
+        rows = list(fam)
+        packed = cli._Packed(bytes(x for b in rows[5:] for x in b), 4, len(rows) - 5)
+        chunks = [BlockFamily("W", 4, 4, rows[:5]), BlockFamily("W", 4, 4, []), packed]
+        assert verify_bibd(range(1, 16), iter(chunks)) == verify_bibd(range(1, 16), fam)
+        with pytest.raises(ShapeError, match="uniform block size 4, found 3"):
+            verify_bibd(range(1, 16), [fam, zero_sum_blocks(4, 3)])
+        with pytest.raises(ShapeError, match="empty block collection"):
+            verify_bibd(range(1, 16), iter([BlockFamily("W", 4, 4, [])]))
+
+    def test_a_bad_block_in_a_later_chunk_raises_as_in_one_family(self, incidence_form):
+        rows = list(zero_sum_blocks(4, 4))
+        for bad, error in (((1, 2, 3, 16), ContainmentError), ((1, 2, 2, 1), ShapeError)):
+            flat = [x for b in rows[:-4] + [bad] + rows[-3:] for x in b]
+            packed = cli._Packed(bytes(flat[40:]), 4, len(flat[40:]) // 4)
+            chunks = [cli._Packed(bytes(flat[:40]), 4, 10), packed]
+            got = _outcome(verify_bibd, range(1, 16), chunks)
+            assert got == _outcome(verify_bibd, range(1, 16), rows[:-4] + [bad] + rows[-3:])
+            assert got[0] is error and str(bad) in got[1]
+
+    @pytest.mark.parametrize("k, b", [(6, 722_176), (7, 5_287_360)])
+    def test_the_sweep_state_does_not_grow_with_b(self, k, b):
+        """Over the stream the sweep holds one chunk's v bitsets of 65,536
+        bits and its columns, beside the lift's own chunk, and C(v, 2)
+        pair counts: ~1.8 MiB traced at 722,176 blocks, ~3.6 MiB at
+        5,287,360, where the base family alone grows by 0.5 MiB."""
+        points, groups = lifted_points(6, 1), gdd_groups(6, 1)
+        chunks = gdd_chunks(6, k, 1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = verify_gdd(points, groups, chunks)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.b == b
+        assert peak < 4 * 2**20
 
 
 class TestIncidenceForms:
@@ -312,7 +371,7 @@ class TestIncidenceForms:
         # holds its rows, v ints of b bits, and the scratch of one index
         # column of b bytes at a time, about three such columns; an index
         # copy of the whole family was six columns more.
-        fam = gdd_blocks(6, 6, 5, ordered=False)
+        fam = gdd_blocks(6, 6, 5)
         points, groups = lifted_points(6, 5), gdd_groups(6, 5)
         b, v = len(fam), len(points)
         tracemalloc.start()
