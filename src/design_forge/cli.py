@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import time
 from array import array
@@ -144,21 +143,27 @@ def _enumerate_family(args) -> blocks.BlockFamily:
 
 
 def _record_head(m: int, k: int, family: str, alpha: int | None) -> str:
-    """A block record's text up to its points."""
+    """A block record's text up to its first point, through the "["."""
     import json
-    return json.dumps({"m": m, "k": k, "family": family, "alpha": alpha, "block": []})[:-3]
+    return json.dumps({"m": m, "k": k, "family": family, "alpha": alpha, "block": []})[:-2]
 
 
 def _jsonl_text(family: blocks.BlockFamily) -> _Text:
-    """The family's records, formatted a chunk of blocks per %-operation.
-    A chunk holds ~16 K points, so its text stays small at any k."""
-    b, k, points = len(family), family.k, chain.from_iterable(family)
+    """The family's records, a chunk of ~16 K points per str.join, which
+    puts each point's string (from a table made once, when the family has
+    more points than the field) after the separator before it."""
+    k, points = family.k, family.points
     head = _record_head(family.m, k, family.kind, family.alpha)
-    fmt = head + "[" + ", ".join(["%d"] * k) + "]}\n"  # "%d" % x is str(x)
-    step = max(1, _CHUNK_POINTS // k)
-    return _Text(
-        (fmt * min(step, b - s)) % tuple(islice(points, step * k)) for s in range(0, b, step)
-    )
+    text_of = list(map(str, range(1 << family.m))).__getitem__ if len(points) >> family.m else str
+    places = ["]}\n" + head, None] + [", ", None] * (k - 1)  # a block's separators and points
+    step = max(1, _CHUNK_POINTS // k) * k
+
+    def chunk(start: int) -> str:
+        out = places * (min(step, len(points) - start) // k)
+        out[1::2], out[0] = map(text_of, points[start : start + step]), head
+        return "".join(out) + "]}\n"
+
+    return _Text(map(chunk, range(0, len(points), step)))
 
 
 def cmd_enumerate(args) -> int:
@@ -168,11 +173,8 @@ def cmd_enumerate(args) -> int:
     family = _enumerate_family(args)
     elapsed = time.perf_counter() - start
     _write_output(_jsonl_text(family), args.out)
-    print(
-        f"enumerated {len(family)} blocks in {elapsed:.3f}s "
-        f"(family={family.kind}, m={family.m}, k={family.k}, alpha={family.alpha})",
-        file=sys.stderr,
-    )
+    print(f"enumerated {len(family)} blocks in {elapsed:.3f}s (family={family.kind}, m={family.m}, "
+          f"k={family.k}, alpha={family.alpha})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -226,33 +228,38 @@ def _pack(out, points):
     return out
 
 
-def _read_jsonl_blocks(
-    path: str, expect_m: int, expect_k: int, expect_family: str, expect_alpha: int | None
-) -> _Packed:
+def _bulk_points(batch: str, lines: int, head: str, k: int):
+    """The points of a batch of lines if it is exactly export's text for
+    records that open with `head`, else None. Of its three checks the first
+    cannot be dropped: a digit of the head moved before the "{" passes the
+    other two."""
+    import json
+    digits = str.maketrans("", "", "0123456789")
+    skeleton = head.translate(digits)
+    # Lengths first: at a k past any batch's length no record is made.
+    if (not batch.startswith(head) or len(plain := batch.translate(digits)) != lines * (len(skeleton) + 2 * k + 1)
+            or plain != (skeleton + ", " * (k - 1) + "]}\n") * lines):
+        return None
+    try:  # a joint other than "]}\n" + head leaves a "]" that ends the array
+        return json.loads("[" + batch[len(head) : -3].replace("]}\n" + head, ", ") + "]")
+    except ValueError:
+        return None
+
+
+def _read_jsonl_blocks(path: str, expect_m: int, expect_k: int, expect_family: str,
+                       expect_alpha: int | None) -> _Packed:
     """Re-ingest exported blocks; the engine accepts any well-formed design
     whose records name the expected field, block size, family and shift.
-
-    The file is read once, in ~64 KiB batches of lines, and packed as it
-    is read. A batch whose text is exactly what export writes for these
-    fields is matched whole by one regular expression, then its points
-    are read by one json.loads. Any other batch is checked line by line.
-    """
+    The file is read once, in ~64 KiB batches of lines, packed as it is
+    read: a batch that is export's text in bulk, any other line by line."""
     import json
     head = _record_head(expect_m, expect_k, expect_family, expect_alpha)
-    records = None
-    if 1 <= expect_k < 1 << 32:  # a repeat count that re compiles
-        point = "(?:0|[1-9][0-9]*)"
-        records = re.compile(rf"(?:{re.escape(head)}\[{point}(?:, {point}){{{expect_k - 1}}}\]\}}\n)*")
     out, n, count = bytearray(), 0, 0
     try:
         with open(path, encoding="utf-8") as fh:
             while lines := fh.readlines(1 << 16):
-                batch = "".join(lines)
-                if records and records.fullmatch(batch):
-                    batch = batch.replace(head + "[", "").replace("]}\n", ", ")
-                    out = _pack(out, json.loads(f"[{batch[:-2]}]"))
-                    n += len(lines)
-                    count += len(lines)
+                if (points := _bulk_points("".join(lines), len(lines), head, expect_k)) is not None:
+                    out, n, count = _pack(out, points), n + len(lines), count + len(lines)
                     continue
                 for line in lines:
                     n += 1
@@ -267,23 +274,16 @@ def _read_jsonl_blocks(
                     except (ValueError, KeyError, TypeError):
                         raise ArgumentError(f"{path}:{n}: not a block record") from None
                     if _differs(obj.get("m"), expect_m):
-                        raise ArgumentError(
-                            f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})"
-                        )
+                        raise ArgumentError(f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})")
                     if _differs(obj.get("k"), expect_k):
-                        raise ArgumentError(
-                            f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
-                        )
+                        raise ArgumentError(f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}")
                     if len(block) != expect_k:
                         raise ArgumentError(f"{path}:{n}: block of {len(block)} points, expected {expect_k}")
                     if obj.get("family") != expect_family:
-                        raise ArgumentError(
-                            f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
-                        )
+                        raise ArgumentError(f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}")
                     if _differs(obj.get("alpha"), expect_alpha):
-                        raise ArgumentError(
-                            f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
-                        )
+                        raise ArgumentError(f"{path}:{n}: block made for alpha {obj.get('alpha')}, "
+                                            f"expected alpha {expect_alpha}")
                     out = _pack(out, block)
                     count += 1
     except UnicodeDecodeError:

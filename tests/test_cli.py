@@ -550,6 +550,20 @@ class TestVerifyRoundTrip:
         assert proc.stdout == b""
         assert proc.stderr == f"error: {bad}:1: block size 4, expected 3\n".encode()
 
+    @pytest.mark.parametrize("field_k", [4, 100_000_000_000_000], ids=["export", "head-names-k"])
+    def test_a_huge_block_size_is_refused_by_the_first_record(self, tmp_path, field_k):
+        # No string grows with --k: an export of k = 4, or one whose heads
+        # name the huge k, is read line by line and refused at line 1.
+        k = 100_000_000_000_000
+        exported = tmp_path / "w44.jsonl"
+        assert run_cli(["export", "--m", "4", "--k", "4", "--out", str(exported)]).returncode == 0
+        exported.write_text(exported.read_text().replace('"k": 4,', f'"k": {field_k},'))
+        proc = run_cli(["verify-bibd", "--m", "4", "--k", str(k), "--blocks", str(exported)])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        expected = f"block size 4, expected {k}" if field_k == 4 else f"block of 4 points, expected {k}"
+        assert proc.stderr == f"error: {exported}:1: {expected}\n".encode()
+
     @pytest.mark.parametrize(
         "argv,field,value,message",
         [
@@ -680,7 +694,7 @@ class TestUsage:
         # leaves --out as it was and no temporary file behind.
         out = tmp_path / "out.txt"
         out.write_text("old")
-        real_iter, real_reference = blocks.BlockFamily.__iter__, params.reference_gdd_balance
+        real_points, real_reference = blocks.BlockFamily.points, params.reference_gdd_balance
         calls = []
 
         def failing(real):
@@ -691,13 +705,22 @@ class TestUsage:
                 return real(*args, **kwargs)
             return wrapped
 
-        def failing_iter(family):
-            for n, block in enumerate(real_iter(family), 1):
-                if n == 3:
-                    raise RuntimeError("failed part way")
-                yield block
+        class FailingPoints:
+            """A family's points, of which export's third chunk fails as it
+            is read (a chunk is 4 blocks here, so W(4, 4) makes 27)."""
 
-        monkeypatch.setattr(blocks.BlockFamily, "__iter__", failing_iter)
+            def __init__(self, family):
+                self.points = real_points.fget(family)
+
+            def __len__(self):
+                return len(self.points)
+
+            def __getitem__(self, chunk):
+                return read_chunk(self.points, chunk)
+
+        read_chunk = failing(lambda points, chunk: points[chunk])
+        monkeypatch.setattr(blocks.BlockFamily, "points", property(FailingPoints))
+        monkeypatch.setattr(cli, "_CHUNK_POINTS", 16)
         monkeypatch.setattr(params, "reference_gdd_balance", failing(real_reference))
         assert cli.main([*command, "--out", str(out)]) == 4
         assert "failed part way" in capsys.readouterr().err

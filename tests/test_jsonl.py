@@ -105,6 +105,22 @@ def _point(lines: list[str], text, at: int = 0) -> list[str]:
     return lines
 
 
+def _block_text(lines: list[str], text, at: int = 0) -> list[str]:
+    """Line `at` with the text after its "[" replaced by text(of it)."""
+    lines = list(lines)
+    head, rest = lines[at].split("[", 1)
+    lines[at] = f"{head}[{text(rest)}"
+    return lines
+
+
+def _first_digit_before_the_brace(lines: list[str]) -> list[str]:
+    """The first line with its head's first digit moved before its "{":
+    the head keeps its length and its text without digits."""
+    line = lines[0]
+    at = next(i for i, c in enumerate(line) if c.isdigit())
+    return [line[at] + line[:at] + line[at + 1 :], *lines[1:]]
+
+
 # Each edit maps the export's lines to the lines of the edited file; a
 # lone surrogate stands for a byte that is not UTF-8 (\xe9).
 EDITS = {
@@ -131,6 +147,16 @@ EDITS = {
         lines[0], _head_of(lines[1], m=99), lines[2][:-1] + " \udce9\n", *lines[3:]
     ],
     "late-bad-byte-after-header-fault": _late_bad_byte,
+    # Edits that, but for "head-repeated", keep the text without its digits
+    # export's, so that only the head and the JSON of the points refuse them.
+    "digit-before-a-later-brace": lambda lines: [lines[0], "5" + lines[1], *lines[2:]],
+    "digit-moved-before-the-first-brace": _first_digit_before_the_brace,
+    "digit-after-the-brackets": lambda lines: _block_text(lines, lambda t: t.replace("]}\n", "]}5\n")),
+    "last-digit-after-the-brackets": lambda lines: _block_text(lines, lambda t: t.replace("]}\n", "]}5\n"), -1),
+    "digit-between-comma-and-space": lambda lines: _block_text(lines, lambda t: t.replace(", ", ",5 ", 1)),
+    "empty-point": lambda lines: _point(lines, lambda x: ""),
+    "batched-last-leading-zero": lambda lines: _point(_batched(lines), lambda x: "0" + x, -1),
+    "head-repeated": lambda lines: [lines[0], lines[1][: lines[1].index("[") + 1] + lines[1], *lines[2:]],
 }
 
 # The file each command reads, and its command line.
@@ -161,14 +187,24 @@ def ingest_outcome(tmp_path, capsys, command: str, edit: str):
 
 
 # Recorded by ingest_outcome before the ingest had a bulk path, when every
-# file was read line by line.
+# file was read line by line; the edits that keep the text without its
+# digits were recorded when a regular expression chose the bulk batches,
+# which read each of them line by line.
 INGEST_OUTCOMES = {
     "bibd-blocks bad-byte-after-header-fault": (2, "", "error: {path}: not UTF-8 text\n"),
     "bibd-blocks batched-last-point-300": (2, "", "error: block (300, 13, 14, 15) uses point 300 outside the point set\n"),
     "bibd-blocks batched-last-point-2^32": (2, "", "error: block (4294967296, 13, 14, 15) uses point 4294967296 outside the point set\n"),
     "bibd-blocks batched": (0, "69d6d4e29964b394b8735fe99ab8bee98684876677937a04828d484cf0bd757b", ""),
+    "bibd-blocks batched-last-leading-zero": (2, "", "error: {path}:2310: not a block record\n"),
     "bibd-blocks canonical": (0, "dc57329bbb0b6249b34866480eaaba951d97138c1692001986a2a7e314885275", ""),
     "bibd-blocks crlf": (0, "dc57329bbb0b6249b34866480eaaba951d97138c1692001986a2a7e314885275", ""),
+    "bibd-blocks digit-after-the-brackets": (2, "", "error: {path}:1: not a block record\n"),
+    "bibd-blocks digit-before-a-later-brace": (2, "", "error: {path}:2: not a block record\n"),
+    "bibd-blocks digit-between-comma-and-space": (2, "", "error: {path}:1: not a block record\n"),
+    "bibd-blocks digit-moved-before-the-first-brace": (2, "", "error: {path}:1: not a block record\n"),
+    "bibd-blocks empty-point": (2, "", "error: {path}:1: not a block record\n"),
+    "bibd-blocks head-repeated": (2, "", "error: {path}:2: not a block record\n"),
+    "bibd-blocks last-digit-after-the-brackets": (2, "", "error: {path}:105: not a block record\n"),
     "bibd-blocks last-point-2^32": (2, "", "error: block (4294967296, 13, 14, 15) uses point 4294967296 outside the point set\n"),
     "bibd-blocks late-bad-byte-after-header-fault": (2, "", "error: {path}:2: block of family X, expected W\n"),
     "bibd-blocks leading-zero": (2, "", "error: {path}:1: not a block record\n"),
@@ -184,8 +220,16 @@ INGEST_OUTCOMES = {
     "gdd-blocks batched-last-point-300": (2, "", "error: block (300, 11, 13) uses point 300 outside the point set\n"),
     "gdd-blocks batched-last-point-2^32": (2, "", "error: block (4294967296, 11, 13) uses point 4294967296 outside the point set\n"),
     "gdd-blocks batched": (0, "647c29af92341d38a4d8847e5870c59d9759bd0a7cc230525860b61954fd8784", ""),
+    "gdd-blocks batched-last-leading-zero": (2, "", "error: {path}:2464: not a block record\n"),
     "gdd-blocks canonical": (0, "92eac27aecfd43adf46bdd5700febd6a6766efd8e92198f418eb7372a37101cc", ""),
     "gdd-blocks crlf": (0, "92eac27aecfd43adf46bdd5700febd6a6766efd8e92198f418eb7372a37101cc", ""),
+    "gdd-blocks digit-after-the-brackets": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-blocks digit-before-a-later-brace": (2, "", "error: {path}:2: not a block record\n"),
+    "gdd-blocks digit-between-comma-and-space": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-blocks digit-moved-before-the-first-brace": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-blocks empty-point": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-blocks head-repeated": (2, "", "error: {path}:2: not a block record\n"),
+    "gdd-blocks last-digit-after-the-brackets": (2, "", "error: {path}:28: not a block record\n"),
     "gdd-blocks last-point-2^32": (2, "", "error: block (4294967296, 11, 13) uses point 4294967296 outside the point set\n"),
     "gdd-blocks late-bad-byte-after-header-fault": (2, "", "error: {path}:2: block of family X, expected U\n"),
     "gdd-blocks leading-zero": (2, "", "error: {path}:1: not a block record\n"),
@@ -201,8 +245,16 @@ INGEST_OUTCOMES = {
     "gdd-groups batched-last-point-300": (2, "", "error: group (300, 15) uses point 300 outside the point set\n"),
     "gdd-groups batched-last-point-2^32": (2, "", "error: group (4294967296, 15) uses point 4294967296 outside the point set\n"),
     "gdd-groups batched": (1, "4342531ae2d159a0cecaa34d30c4ce1c1fa0eebfb65f6f672030993550e1a217", ""),
+    "gdd-groups batched-last-leading-zero": (2, "", "error: {path}:2590: not a block record\n"),
     "gdd-groups canonical": (0, "92eac27aecfd43adf46bdd5700febd6a6766efd8e92198f418eb7372a37101cc", ""),
     "gdd-groups crlf": (0, "92eac27aecfd43adf46bdd5700febd6a6766efd8e92198f418eb7372a37101cc", ""),
+    "gdd-groups digit-after-the-brackets": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-groups digit-before-a-later-brace": (2, "", "error: {path}:2: not a block record\n"),
+    "gdd-groups digit-between-comma-and-space": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-groups digit-moved-before-the-first-brace": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-groups empty-point": (2, "", "error: {path}:1: not a block record\n"),
+    "gdd-groups head-repeated": (2, "", "error: {path}:2: not a block record\n"),
+    "gdd-groups last-digit-after-the-brackets": (2, "", "error: {path}:7: not a block record\n"),
     "gdd-groups last-point-2^32": (2, "", "error: group (4294967296, 15) uses point 4294967296 outside the point set\n"),
     "gdd-groups late-bad-byte-after-header-fault": (2, "", "error: {path}:2: block of family X, expected U\n"),
     "gdd-groups leading-zero": (2, "", "error: {path}:1: not a block record\n"),
