@@ -150,11 +150,11 @@ def _record_head(m: int, k: int, family: str, alpha: int | None) -> str:
 
 def _jsonl_text(family: blocks.BlockFamily) -> _Text:
     """The family's records, a chunk of ~16 K points per str.join, which
-    puts each point's string (from a table made once, when the family has
-    more points than the field) after the separator before it."""
+    puts each point's string (from a table of the field's points, made
+    once) after the separator before it."""
     k, points = family.k, family.points
     head = _record_head(family.m, k, family.kind, family.alpha)
-    text_of = list(map(str, range(1 << family.m))).__getitem__ if len(points) >> family.m else str
+    text_of = list(map(str, range(1 << family.m))).__getitem__
     places = ["]}\n" + head, None] + [", ", None] * (k - 1)  # a block's separators and points
     step = max(1, _CHUNK_POINTS // k) * k
 
@@ -173,8 +173,11 @@ def cmd_enumerate(args) -> int:
     family = _enumerate_family(args)
     elapsed = time.perf_counter() - start
     _write_output(_jsonl_text(family), args.out)
-    print(f"enumerated {len(family)} blocks in {elapsed:.3f}s (family={family.kind}, m={family.m}, "
-          f"k={family.k}, alpha={family.alpha})", file=sys.stderr)
+    print(
+        f"enumerated {len(family)} blocks in {elapsed:.3f}s "
+        f"(family={family.kind}, m={family.m}, k={family.k}, alpha={family.alpha})",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 
@@ -234,11 +237,14 @@ def _bulk_points(batch: str, lines: int, head: str, k: int):
     cannot be dropped: a digit of the head moved before the "{" passes the
     other two."""
     import json
+    if not batch.startswith(head):
+        return None
     digits = str.maketrans("", "", "0123456789")
-    skeleton = head.translate(digits)
+    skeleton, plain = head.translate(digits), batch.translate(digits)
     # Lengths first: at a k past any batch's length no record is made.
-    if (not batch.startswith(head) or len(plain := batch.translate(digits)) != lines * (len(skeleton) + 2 * k + 1)
-            or plain != (skeleton + ", " * (k - 1) + "]}\n") * lines):
+    if len(plain) != lines * (len(skeleton) + 2 * k + 1):
+        return None
+    if plain != (skeleton + ", " * (k - 1) + "]}\n") * lines:
         return None
     try:  # a joint other than "]}\n" + head leaves a "]" that ends the array
         return json.loads("[" + batch[len(head) : -3].replace("]}\n" + head, ", ") + "]")
@@ -246,12 +252,17 @@ def _bulk_points(batch: str, lines: int, head: str, k: int):
         return None
 
 
-def _read_jsonl_blocks(path: str, expect_m: int, expect_k: int, expect_family: str,
-                       expect_alpha: int | None) -> _Packed:
+def _read_jsonl_blocks(
+    path: str, expect_m: int, expect_k: int, expect_family: str, expect_alpha: int | None
+) -> _Packed:
     """Re-ingest exported blocks; the engine accepts any well-formed design
     whose records name the expected field, block size, family and shift.
-    The file is read once, in ~64 KiB batches of lines, packed as it is
-    read: a batch that is export's text in bulk, any other line by line."""
+
+    The file is read once, in ~64 KiB batches of lines, and packed as it
+    is read. A batch whose text is exactly what export writes for these
+    fields is read in bulk by `_bulk_points`. Any other batch is checked
+    line by line.
+    """
     import json
     head = _record_head(expect_m, expect_k, expect_family, expect_alpha)
     out, n, count = bytearray(), 0, 0
@@ -259,7 +270,9 @@ def _read_jsonl_blocks(path: str, expect_m: int, expect_k: int, expect_family: s
         with open(path, encoding="utf-8") as fh:
             while lines := fh.readlines(1 << 16):
                 if (points := _bulk_points("".join(lines), len(lines), head, expect_k)) is not None:
-                    out, n, count = _pack(out, points), n + len(lines), count + len(lines)
+                    out = _pack(out, points)
+                    n += len(lines)
+                    count += len(lines)
                     continue
                 for line in lines:
                     n += 1
@@ -274,16 +287,23 @@ def _read_jsonl_blocks(path: str, expect_m: int, expect_k: int, expect_family: s
                     except (ValueError, KeyError, TypeError):
                         raise ArgumentError(f"{path}:{n}: not a block record") from None
                     if _differs(obj.get("m"), expect_m):
-                        raise ArgumentError(f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})")
+                        raise ArgumentError(
+                            f"{path}:{n}: block lives in GF(2^{obj.get('m')}), expected GF(2^{expect_m})"
+                        )
                     if _differs(obj.get("k"), expect_k):
-                        raise ArgumentError(f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}")
+                        raise ArgumentError(
+                            f"{path}:{n}: block size {obj.get('k')}, expected {expect_k}"
+                        )
                     if len(block) != expect_k:
                         raise ArgumentError(f"{path}:{n}: block of {len(block)} points, expected {expect_k}")
                     if obj.get("family") != expect_family:
-                        raise ArgumentError(f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}")
+                        raise ArgumentError(
+                            f"{path}:{n}: block of family {obj.get('family')}, expected {expect_family}"
+                        )
                     if _differs(obj.get("alpha"), expect_alpha):
-                        raise ArgumentError(f"{path}:{n}: block made for alpha {obj.get('alpha')}, "
-                                            f"expected alpha {expect_alpha}")
+                        raise ArgumentError(
+                            f"{path}:{n}: block made for alpha {obj.get('alpha')}, expected alpha {expect_alpha}"
+                        )
                     out = _pack(out, block)
                     count += 1
     except UnicodeDecodeError:
