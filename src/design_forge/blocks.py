@@ -605,39 +605,20 @@ def shift_invariant_blocks(m: int, k: int, alpha: int, budget: int = DEFAULT_NOD
     return _enumerated(BlockFamily._from_lanes, "L", m, k, lanes, alpha=alpha)
 
 
-def gdd_chunks(ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> Iterator[_Columns]:
-    """The blocks of `gdd_blocks`, as the checked chunks of columns that
-    `lift_chunks` yields, in the order they are made.
-
-    The lifted design in GF(2^ambient_exp) is the lift of the zero-sum
-    family one exponent down. The budget is charged one node per node of
-    that family's search plus one per lifted block, each part before the
-    blocks it counts.
-    """
-    check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
-    check_shift(alpha, ambient_exp)
-    m = ambient_exp - 1
-    _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
-    bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
-    lanes = _xor_subsets(tuple(nonzero_elements(m)), k, 0, bud, _lane_size(m))
-    base = _enumerated(BlockFamily._from_lanes, "W", m, k, lanes)
-    return lift_chunks(base, alpha, budget)
-
-
 def gdd_blocks(ambient_exp: int, k: int, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockFamily:
     """Blocks of the lifted design in GF(2^ambient_exp), sorted.
 
     k-subsets of the field minus {0, alpha} that XOR to alpha and touch
     each coset {x, x + alpha} at most once (equivalently, the block and
-    its shift by alpha are disjoint): `gdd_chunks` merged (see `_merged`).
+    its shift by alpha are disjoint): the lift of the zero-sum family one
+    exponent down (`lift_chunks`), merged (see `_merged`). Each of the
+    search and the lift is charged on its own budget.
     """
-    return _merged(gdd_chunks(ambient_exp, k, alpha, budget), ambient_exp, k, alpha)
-
-
-def lift_blocks(base: BlockFamily, alpha: int, budget: int = DEFAULT_NODE_BUDGET) -> BlockFamily:
-    """The blocks of the lifted design over `base`, sorted: `lift_chunks`
-    merged (see `_merged`)."""
-    return _merged(lift_chunks(base, alpha, budget), base.m + 1, base.k, alpha)
+    check_exponent(ambient_exp, lo=MIN_EXPONENT + 1, hi=MAX_AMBIENT_EXPONENT)
+    check_shift(alpha, ambient_exp)
+    m = ambient_exp - 1
+    _check_k(k, 3, (1 << m) - 4, f"lifted family in GF(2^{ambient_exp})")
+    return _merged(lift_chunks(zero_sum_blocks(m, k, budget), alpha, budget), ambient_exp, k, alpha)
 
 
 class _Columns:
@@ -672,9 +653,9 @@ def lift_chunks(base: BlockFamily, alpha: int, budget: int = DEFAULT_NODE_BUDGET
     zero-sum block back to k points that XOR to 0, one per coset. Shifting
     an odd number of them by alpha gives the 2^(k-1) blocks over it. Those
     are every choice of one point per coset that XORs to alpha, so the
-    blocks do not depend on which section is used. A fresh budget, named
-    as in `gdd_blocks`, is charged the search for `base` in closed form
-    plus one node per lifted block, now, before any chunk is made.
+    blocks do not depend on which section is used. The shift is checked,
+    and a fresh budget charged the search for `base` in closed form plus
+    one node per lifted block, now, before any chunk is made.
 
     The lift runs on lanes, `_CHUNK` bases at a time: the sections of the
     bases' lanes (one `bytes.translate` while both lanes are a byte)
@@ -687,6 +668,7 @@ def lift_chunks(base: BlockFamily, alpha: int, budget: int = DEFAULT_NODE_BUDGET
     block raises ConsistencyError.
     """
     k, ambient_exp = base.k, base.m + 1
+    check_shift(alpha, ambient_exp)
     bud = _Budget(budget, f"lifted blocks (exp={ambient_exp}, k={k}, alpha={alpha})")
     bud.spend(_search_nodes((1 << base.m) - 1, k) + (len(base) << (k - 1)))
     return _lift(base, alpha)

@@ -331,8 +331,9 @@ def _bibd_report(m: int, k: int, budget: int, blocks_path=None):
 
 def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, groups_path=None, base=None):
     """The report on the design lifted to GF(2^(m+1)) for alpha: its groups,
-    then its blocks, each derived (lifted from `base` if given, and swept a
-    chunk at a time as the lift makes them) or read."""
+    then its blocks, each derived (the lift of `base`, or of the zero-sum
+    family searched here if no base is given, swept a chunk at a time as
+    the lift makes them) or read."""
     if not (blocks_path and groups_path):  # a family is made, not only read
         from . import blocks
     from . import designs
@@ -346,10 +347,8 @@ def _gdd_report(m: int, k: int, alpha: int, budget: int, blocks_path=None, group
         group_list = blocks.gdd_groups(ambient, alpha)
     if blocks_path:
         block_list = _read_jsonl_blocks(blocks_path, ambient, k, "U", alpha)
-    elif base is None:
-        block_list = blocks.gdd_chunks(ambient, k, alpha, budget)
     else:
-        block_list = blocks.lift_chunks(base, alpha, budget)
+        block_list = blocks.lift_chunks(blocks.zero_sum_blocks(m, k, budget) if base is None else base, alpha, budget)
     return designs.verify_gdd(points, group_list, block_list)
 
 
@@ -512,7 +511,7 @@ def cmd_crosscheck(args) -> int:
 # parser / dispatch
 
 
-def _add_common(sub, *, k_flag=True, alpha=False, budget=True, out=True):
+def _add_common(sub, *, k_flag=True, alpha=False, budget=True):
     sub.add_argument("--m", required=True, help="base field exponent (or a..b for crosscheck)")
     if k_flag:
         sub.add_argument("--k", required=True, help="block size (or a..b range)")
@@ -520,8 +519,7 @@ def _add_common(sub, *, k_flag=True, alpha=False, budget=True, out=True):
         sub.add_argument("--alpha", type=int, help="coset-defining shift")
     if budget:
         sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="enumeration node budget (default %(default)s)")
-    if out:
-        sub.add_argument("--out", help="write output to this file instead of stdout")
+    sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,8 +18,8 @@ from design_forge.blocks import (
     BlockFamily,
     family_predicate,
     gdd_blocks,
-    gdd_chunks,
     gdd_groups,
+    lift_chunks,
     shift_invariant_blocks,
     sum_to_shift_blocks,
     sum_to_zero_blocks,
@@ -57,6 +57,12 @@ from witness import (
     representative,
     shift_representative,
 )
+
+
+def lifted_chunks(ambient, k, alpha):
+    """The lifted design in GF(2^ambient) as made: the chunks of the lift
+    of the zero-sum family one exponent down."""
+    return lift_chunks(zero_sum_blocks(ambient - 1, k), alpha)
 
 
 class TestZeroSumBlocks:
@@ -168,12 +174,20 @@ class TestSearchBudget:
         assert len(gdd_blocks(5, 4, 9, budget=nodes)) == 840
         with pytest.raises(BudgetExceededError):
             gdd_blocks(5, 4, 9, budget=nodes - 1)
-        # A lift of a family searched elsewhere is charged that search too.
+        # A lift of a family searched elsewhere is charged that search too,
+        # when it is called, before any chunk is asked for.
         base = zero_sum_blocks(4, 4)
-        assert blocks_module.lift_blocks(base, 9, nodes).lanes == gdd_blocks(5, 4, 9).lanes
+        assert sorted(made_blocks(lift_chunks(base, 9, nodes))) == list(gdd_blocks(5, 4, 9))
         with pytest.raises(BudgetExceededError) as exc:
-            blocks_module.lift_blocks(base, 9, nodes - 1)
+            lift_chunks(base, 9, nodes - 1)
         assert str(exc.value) == f"lifted blocks (exp=5, k=4, alpha=9): exceeded the enumeration budget of {nodes - 1} nodes"
+
+    def test_a_lift_refuses_a_bad_shift_when_it_is_called(self):
+        base = zero_sum_blocks(4, 4)
+        with pytest.raises(InvalidShiftError):
+            lift_chunks(base, 0, budget=1)  # before the budget is charged
+        with pytest.raises(InvalidShiftError):
+            lift_chunks(base, 99)  # before any chunk is asked for
 
     def test_shift_invariant_family_charges_one_node_per_point(self):
         assert len(shift_invariant_blocks(5, 6, 3, budget=comb(15, 3) * 6)) == 455
@@ -368,14 +382,14 @@ class TestGddBlocks:
         for k in (3, 4):
             expected = brute_gdd_blocks(5, k, alpha)
             assert list(gdd_blocks(5, k, alpha)) == expected
-            assert sorted(made_blocks(gdd_chunks(5, k, alpha))) == expected
+            assert sorted(made_blocks(lifted_chunks(5, k, alpha))) == expected
 
     @pytest.mark.parametrize("alpha", [1, 9, 30])
     def test_ambient_32_spot_matches_brute_force(self, alpha):
         for k in (4, 5):
             expected = brute_gdd_blocks(5, k, alpha)
             assert list(gdd_blocks(5, k, alpha)) == expected
-            assert sorted(made_blocks(gdd_chunks(5, k, alpha))) == expected
+            assert sorted(made_blocks(lifted_chunks(5, k, alpha))) == expected
 
     @pytest.mark.parametrize("k, alpha", [(k, a) for k in (3, 4, 5) for a in (1, 6, 19, 31)])
     def test_many_sorted_runs_merge_exactly(self, monkeypatch, k, alpha):
@@ -386,14 +400,14 @@ class TestGddBlocks:
         for chunk in (1, 3, 64):
             monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
             assert list(gdd_blocks(5, k, alpha)) == expected
-            assert sorted(made_blocks(gdd_chunks(5, k, alpha))) == expected
+            assert sorted(made_blocks(lifted_chunks(5, k, alpha))) == expected
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_many_sorted_runs_merge_exactly_in_wide_lanes(self, monkeypatch, chunk):
         expected = gdd_blocks(8, 3, 129)
         monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
         assert gdd_blocks(8, 3, 129).lanes == expected.lanes
-        assert sorted(made_blocks(gdd_chunks(8, 3, 129))) == list(expected)
+        assert sorted(made_blocks(lifted_chunks(8, 3, 129))) == list(expected)
 
     def test_the_lift_holds_one_bucket_of_keys_at_a_time(self):
         """722,176 blocks: 4.1 MiB of lanes, ~42 MiB had every block a key."""
@@ -403,12 +417,12 @@ class TestGddBlocks:
         """The stream holds one chunk's columns at a time: 722,176 blocks
         or 5,287,360, made and dropped a chunk at a time, in ~1 MiB."""
         for k in (6, 7):
-            assert _traced_peak(lambda: sum(map(len, gdd_chunks(6, k, 1)))) < 4 * 2**20
+            assert _traced_peak(lambda: sum(map(len, lifted_chunks(6, k, 1)))) < 4 * 2**20
 
     # An alpha with each top bit: the section inserts its zero bit there.
     @pytest.mark.parametrize("ambient, k, alpha", [(6, k, a) for k in (4, 5) for a in (1, 2, 7, 12, 21, 47)] + [(6, 6, 33)])
     def test_the_made_order_sorts_to_the_ordered_one(self, ambient, k, alpha):
-        assert sorted(made_blocks(gdd_chunks(ambient, k, alpha))) == list(gdd_blocks(ambient, k, alpha))
+        assert sorted(made_blocks(lifted_chunks(ambient, k, alpha))) == list(gdd_blocks(ambient, k, alpha))
 
     @pytest.mark.parametrize("chunk", [3, blocks_module._CHUNK])
     @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 6), (6, 5, 47), (8, 3, 129)])
@@ -420,7 +434,7 @@ class TestGddBlocks:
         family = list(gdd_blocks(ambient, k, alpha))
         monkeypatch.setattr(blocks_module, "_CHUNK", chunk)
         made, bases = [], []
-        for c in gdd_chunks(ambient, k, alpha):
+        for c in lifted_chunks(ambient, k, alpha):
             blocks = made_blocks([c])
             cosets = [tuple(sorted(quotient(x, alpha, ambient) for x in b)) for b in blocks]
             n = len(set(cosets))
@@ -662,7 +676,7 @@ class TestFamilyPlumbing:
 
     @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 7), (8, 3, 129)], ids=["bytes", "wide"])
     def test_membership_of_the_lift_as_made(self, ambient, k, alpha):
-        made = BlockFamily("U", ambient, k, made_blocks(gdd_chunks(ambient, k, alpha)), alpha=alpha)
+        made = BlockFamily("U", ambient, k, made_blocks(lifted_chunks(ambient, k, alpha)), alpha=alpha)
         members = set(gdd_blocks(ambient, k, alpha))
         assert all(b in made for b in members)
         ground = range(1, 2**ambient) if ambient < 8 else range(1, 24)

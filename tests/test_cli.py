@@ -636,6 +636,11 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == "error: verify-gdd needs --alpha (an element of GF(2^(m+1)))\n"
 
+    def test_verify_gdd_refuses_a_k_out_of_range(self, capsys):
+        # The k range of the zero-sum family that is lifted, in its words.
+        assert cli.main(["verify-gdd", "--m", "3", "--k", "5", "--alpha", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: zero-sum family in GF(2^3): block size must be in 3..4, got 5\n")
+
     def test_alpha_required_for_shifted_families(self, capsys):
         for family in ("I", "J", "L", "U"):
             assert cli.main(["enumerate", "--m", "3", "--k", "3", "--family", family]) == 2
@@ -892,20 +897,17 @@ class TestUsage:
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
     @pytest.mark.parametrize(
-        "argv,first_over",
-        [
-            (["verify-gdd", "--m", "3", "--k", "3", "--alpha", "1"], "lifted blocks (exp=4, k=3, alpha=1)"),
-            (["crosscheck", "--m", "3", "--k", "3", "--gdd"], "zero-sum blocks (m=3, k=3)"),
-        ],
+        "argv",
+        [["verify-gdd", "--m", "3", "--k", "3", "--alpha", "1"], ["crosscheck", "--m", "3", "--k", "3", "--gdd"]],
         ids=["verify-gdd", "crosscheck"],
     )
-    def test_a_lift_is_charged_its_search_and_its_blocks(self, argv, first_over, capsys):
+    def test_a_lift_is_charged_its_search_and_its_blocks(self, argv, capsys):
         # W(3, 3) takes 35 search nodes and lifts to 28 blocks for alpha 1:
-        # each lift is charged 63, on its own budget, whether it searched
-        # W itself (verify-gdd) or took crosscheck's.
+        # both commands search W on its own budget and charge each lift 63
+        # on another, so a budget short of the search names the search.
         assert cli.main([*argv, "--budget", "63"]) == 0
         capsys.readouterr()
-        for budget, over in ((62, "lifted blocks (exp=4, k=3, alpha=1)"), (30, first_over)):
+        for budget, over in ((62, "lifted blocks (exp=4, k=3, alpha=1)"), (30, "zero-sum blocks (m=3, k=3)")):
             assert cli.main([*argv, "--budget", str(budget)]) == 3
             assert capsys.readouterr() == ("", f"error: {over}: exceeded the enumeration budget of {budget} nodes\n")
 

@@ -12,7 +12,7 @@ import pytest
 
 import design_forge.blocks as blocks_module
 from design_forge import cli, designs
-from design_forge.blocks import BlockFamily, gdd_blocks, gdd_chunks, gdd_groups, zero_sum_blocks
+from design_forge.blocks import BlockFamily, gdd_blocks, gdd_groups, lift_chunks, zero_sum_blocks
 from design_forge.designs import (
     GddReport,
     observed_params,
@@ -30,6 +30,12 @@ from helpers import made_blocks, pair_coverage
 
 def lifted_points(ambient, alpha):
     return [x for x in range(1, 2**ambient) if x != alpha]
+
+
+def lifted_chunks(ambient, k, alpha):
+    """The lifted design in GF(2^ambient) as made: the chunks of the lift
+    of the zero-sum family one exponent down."""
+    return lift_chunks(zero_sum_blocks(ambient - 1, k), alpha)
 
 
 def brute_gdd_verdict(points, groups, blocks):
@@ -235,14 +241,14 @@ class TestLiftOrder:
     )
     def test_the_report_does_not_depend_on_the_order(self, ambient, k, alpha):
         points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
-        made = verify_gdd(points, groups, gdd_chunks(ambient, k, alpha))
+        made = verify_gdd(points, groups, lifted_chunks(ambient, k, alpha))
         assert made == verify_gdd(points, groups, gdd_blocks(ambient, k, alpha))
         assert made.passed
 
     @pytest.mark.parametrize("ambient, k, alpha", [(5, 4, 19), (6, 3, 37)])
     def test_either_incidence_form_reads_the_made_order(self, incidence_form, ambient, k, alpha):
         points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
-        made = tuple(made_blocks(gdd_chunks(ambient, k, alpha)))
+        made = tuple(made_blocks(lifted_chunks(ambient, k, alpha)))
         for blocks in (made, made[1:]):
             assert verify_gdd(points, groups, blocks) == verify_gdd(points, groups, sorted(blocks))
 
@@ -254,8 +260,8 @@ class TestLiftOrder:
         points, groups = lifted_points(ambient, alpha), gdd_groups(ambient, alpha)
         family = gdd_blocks(ambient, k, alpha)
         monkeypatch.setattr(blocks_module, "_CHUNK", 3)
-        assert verify_gdd(points, groups, gdd_chunks(ambient, k, alpha)) == verify_gdd(points, groups, family)
-        made = made_blocks(gdd_chunks(ambient, k, alpha))[1:]
+        assert verify_gdd(points, groups, lifted_chunks(ambient, k, alpha)) == verify_gdd(points, groups, family)
+        made = made_blocks(lifted_chunks(ambient, k, alpha))[1:]
         short = [BlockFamily("U", ambient, k, made[i : i + 3], alpha=alpha) for i in range(0, len(made), 3)]
         report = verify_gdd(points, groups, short)
         assert not report.passed
@@ -292,7 +298,7 @@ class TestLiftOrder:
         pair counts: ~1.8 MiB traced at 722,176 blocks, ~3.6 MiB at
         5,287,360, where the base family alone grows by 0.5 MiB."""
         points, groups = lifted_points(6, 1), gdd_groups(6, 1)
-        chunks = gdd_chunks(6, k, 1)
+        chunks = lifted_chunks(6, k, 1)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

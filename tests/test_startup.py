@@ -109,7 +109,7 @@ def test_star_import_binds_every_public_name():
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(design_forge, "no_such_name")
-    assert not hasattr(design_forge, "lift_blocks")  # public in blocks, not in the package
+    assert not hasattr(design_forge, "lift_chunks")  # public in blocks, not in the package
 
 
 COMMANDS = ("enumerate", "export", "verify-bibd", "verify-gdd", "params", "crosscheck")
